@@ -26,7 +26,7 @@ notice.  See docs/API.md for the full reference and the migration
 guide from pre-façade imports.
 """
 
-__version__ = "1.1.0"
+__version__ = "2.0.0"
 
 # the façade: entry points ----------------------------------------------
 from .core import (

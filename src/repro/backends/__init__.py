@@ -16,18 +16,11 @@ counts, ...) land in ``result.meta``, and baselines that count error
 *traces* rather than collecting witnesses report placeholder
 :class:`~repro.core.result.ErrorReport` entries (message only) so
 ``len(result.errors)``/``result.ok`` stay meaningful.
-
-The legacy ``explore_*``/``brute_force`` functions (here and in
-``repro.baselines``) still work but are deprecated shims over this
-registry's implementations, emit :class:`DeprecationWarning`, and will
-be removed in repro 2.0; the CLI and the benchmark harness route
-through here exclusively.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Protocol, runtime_checkable
@@ -304,44 +297,6 @@ register_backend(
         _run_exhaustive,
     )
 )
-
-#: legacy name -> (backend name, raw implementation path); reached via
-#: module ``__getattr__`` so importing the package stays warning-free
-_DEPRECATED_EXPLORERS = {
-    "explore_interleavings": ("interleaving", "explore_interleavings"),
-    "explore_dpor": ("dpor", "explore_dpor"),
-    "explore_store_buffers": ("storebuffer", "explore_store_buffers"),
-    "explore_with_state_hashing": ("statehash", "explore_with_state_hashing"),
-    "brute_force": ("exhaustive", "brute_force"),
-}
-
-
-def __getattr__(name: str):
-    """Deprecated ``explore_*``/``brute_force`` shims.
-
-    These return the raw baseline implementations (per-baseline result
-    types, not :class:`VerificationResult`) for drop-in compatibility,
-    warn :class:`DeprecationWarning`, and will be **removed in repro
-    2.0** — use ``get_backend(name).run(...)`` instead.
-    """
-    try:
-        backend, attr = _DEPRECATED_EXPLORERS[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    warnings.warn(
-        f"repro.backends.{name} is deprecated and will be removed in "
-        f"repro 2.0; use repro.backends.get_backend({backend!r})"
-        f".run(...) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    import importlib
-
-    module = importlib.import_module(f"..baselines.{backend}", __name__)
-    return getattr(module, attr)
-
 
 __all__ = [
     "Backend",

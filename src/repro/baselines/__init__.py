@@ -3,65 +3,22 @@ force (herd-style), SC interleaving enumeration, sleep-set DPOR,
 explicit-state hashing, and operational store-buffer machines
 (Nidhugg-style).
 
-.. deprecated::
-    The ``explore_*``/``brute_force`` functions re-exported here are
-    thin deprecated wrappers kept for backwards compatibility and
-    **will be removed in repro 2.0**.  New code selects engines
-    uniformly through the backend registry::
+Select an engine through the backend registry, which returns a
+:class:`~repro.core.result.VerificationResult`::
 
-        from repro.backends import get_backend
+    from repro.backends import get_backend
 
-        result = get_backend("dpor").run(program)
+    result = get_backend("dpor").run(program)
 
-    which returns a :class:`~repro.core.result.VerificationResult`
-    instead of a per-baseline result type.
+The raw implementations, with their per-baseline result types, live in
+the submodules (``repro.baselines.dpor.explore_dpor`` & co.).
 """
 
-import warnings
-
-from . import dpor as _dpor
-from . import exhaustive as _exhaustive
-from . import interleaving as _interleaving
-from . import statehash as _statehash
-from . import storebuffer as _storebuffer
 from .dpor import DporResult
 from .exhaustive import BruteForceResult
 from .interleaving import InterleavingResult
 from .statehash import StateHashResult
 from .storebuffer import StoreBufferResult
-
-
-def _deprecated(name: str, backend: str, impl):
-    def wrapper(*args, **kwargs):
-        warnings.warn(
-            f"repro.baselines.{name} is deprecated and will be removed "
-            f"in repro 2.0; use "
-            f"repro.backends.get_backend({backend!r}).run(...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return impl(*args, **kwargs)
-
-    wrapper.__name__ = name
-    wrapper.__qualname__ = name
-    wrapper.__doc__ = impl.__doc__
-    wrapper.__wrapped__ = impl
-    return wrapper
-
-
-brute_force = _deprecated("brute_force", "exhaustive", _exhaustive.brute_force)
-explore_dpor = _deprecated("explore_dpor", "dpor", _dpor.explore_dpor)
-explore_interleavings = _deprecated(
-    "explore_interleavings", "interleaving", _interleaving.explore_interleavings
-)
-explore_store_buffers = _deprecated(
-    "explore_store_buffers", "storebuffer", _storebuffer.explore_store_buffers
-)
-explore_with_state_hashing = _deprecated(
-    "explore_with_state_hashing",
-    "statehash",
-    _statehash.explore_with_state_hashing,
-)
 
 __all__ = [
     "BruteForceResult",
@@ -69,9 +26,4 @@ __all__ = [
     "InterleavingResult",
     "StateHashResult",
     "StoreBufferResult",
-    "brute_force",
-    "explore_dpor",
-    "explore_interleavings",
-    "explore_store_buffers",
-    "explore_with_state_hashing",
 ]

@@ -18,12 +18,13 @@ The engine has three phases:
    the whole search completes during splitting, in which case no pool
    is spawned at all).  Completions, blocked graphs and errors hit
    while splitting are recorded in the coordinator's partial result.
-2. **Dispatch** — each prefix becomes a pickled
-   ``(index, attempt, program, model, options, prefix graph, trace
-   path)`` task; workers resume the DFS from the prefix
-   (``Explorer(root=...)``) with per-worker dedup and
-   revisit-memoisation state, and tracing (when enabled) to a
-   per-worker JSONL file.  Dispatch is supervised: every task is an
+2. **Dispatch** — each prefix becomes a pickled :data:`Task`
+   ``(index, attempt, program, model, options, prefix graph,
+   telemetry context)`` run by :func:`run_task`; workers resume the
+   DFS from the prefix (``Explorer(root=...)``) with per-worker dedup
+   and revisit-memoisation state, under a child observer built from
+   the coordinator's :class:`~repro.obs.TaskContext`.  Dispatch is
+   supervised: every task is an
    ``apply_async`` handle the coordinator polls, so a worker that
    raises, is killed (SIGKILL), or hangs past
    ``ExplorationOptions.task_timeout`` is detected, the task is
@@ -34,9 +35,10 @@ The engine has three phases:
 3. **Merge** — worker results are combined in deterministic task order
    with :meth:`VerificationResult.merge`.  Executions are reconciled by
    canonical key (a graph completed in two subtrees counts once, with
-   the re-discovery reported as a duplicate), counters are summed, and
-   worker trace records are folded back into the coordinator's trace so
-   ``repro trace-summary`` still reconciles.
+   the re-discovery reported as a duplicate), and each task's
+   telemetry (counters, histograms, spans, trace records) is folded
+   into the coordinator's observer with ``Observer.absorb`` as the
+   task completes, so ``repro trace-summary`` still reconciles.
 
 ``max_executions``/``max_explored`` hold for the **merged** result: the
 coordinator charges the split phase against a :class:`GlobalBudget`
@@ -69,35 +71,27 @@ from dataclasses import dataclass, field, replace
 from ..graphs import ExecutionGraph
 from ..lang import Program
 from ..models import MemoryModel, get_model
-from ..obs import NULL_OBSERVER, FileSink, Observer, read_trace_prefix
-from ..obs.spans import NULL_TRACER, SpanTracer
+from ..obs import NULL_OBSERVER, TaskContext
 from ..obs.profile import activation as _profile_activation
 from .config import ExplorationOptions
 from .explorer import Explorer, _SearchLimit, effective_jobs
 from .result import VerificationResult, merge_phase_times
 
-#: a pickled unit of work: (task index, attempt number, program, model
-#: spec, options, subtree prefix graph, worker trace path or None,
-#: collect-metrics flag, span context or None).  The model spec is the
+#: one unit of work: (task index, attempt number, program, model spec,
+#: options, prefix graph, telemetry context).  The model spec is the
 #: registry name for registered models, and the pickled model object
 #: itself otherwise (e.g. a CatModel loaded from a ``.cat`` file) —
-#: workers hand either form to the Explorer.  When the collect-metrics
-#: flag is set the worker runs observed (even without tracing) and
-#: returns a picklable metrics snapshot for the coordinator to fold
-#: back.  The span context is the coordinator's propagation token
-#: (``{"trace_id", "span_id"}``, see :mod:`repro.obs.spans`): when
-#: present the worker records spans for its subtree under that parent
-#: and returns them alongside the snapshot.
-SubtreeTask = tuple[
+#: workers hand either form to the Explorer.  The prefix is the subtree
+#: to explore, or None for the whole program.  The context is the
+#: coordinator's ``Observer.context()``, or None when it is unobserved.
+Task = tuple[
     int,
     int,
     Program,
     "str | MemoryModel",
     ExplorationOptions,
-    ExecutionGraph,
-    "str | None",
-    bool,
-    "dict | None",
+    "ExecutionGraph | None",
+    "TaskContext | None",
 ]
 
 
@@ -261,6 +255,12 @@ def _init_worker(budget: GlobalBudget | None) -> None:
     _WORKER_BUDGET = budget
 
 
+def _pool_entry(fn, index: int, attempt: int, payload):
+    """What a pool worker runs for one supervised attempt."""
+    _maybe_inject_fault(index, attempt)
+    return fn(payload)
+
+
 def _maybe_inject_fault(index: int, attempt: int) -> None:
     """Test-only fault injection, driven by ``REPRO_FAULT_INJECT``.
 
@@ -269,8 +269,10 @@ def _maybe_inject_fault(index: int, attempt: int) -> None:
     a comma-separated list of task indices (empty = any task); and
     ``marker`` is a path created *before* faulting so the fault fires
     only once — leave it empty to fault on every attempt (exercising
-    the serial-fallback path).  Used by the fault-tolerance tests and
-    the CI fault-injection smoke leg; ignored in normal operation.
+    the serial-fallback path).  It fires only inside pool workers, so
+    the coordinator's in-process fallback never faults.  Used by the
+    fault-tolerance tests and the CI fault-injection smoke leg; ignored
+    in normal operation.
     """
     spec = os.environ.get(FAULT_ENV)
     if not spec:
@@ -294,39 +296,28 @@ def _maybe_inject_fault(index: int, attempt: int) -> None:
         raise RuntimeError(f"injected fault in task {index}")
 
 
-def _run_subtree(
-    task: SubtreeTask,
-) -> tuple[int, int, VerificationResult, "dict | None", "list | None"]:
-    """Worker entry point: explore one subtree prefix to exhaustion.
+def run_task(
+    task: Task, budget: GlobalBudget | None = None
+) -> tuple[int, int, VerificationResult, dict]:
+    """Explore one task — a whole program or one subtree prefix.
 
-    Returns ``(index, attempt, result, metrics snapshot, spans)`` —
-    the snapshot is a plain picklable dict (or None when the
-    coordinator runs unobserved) the coordinator merges into its own
-    registry, so worker-side counters/histograms survive the process
-    boundary; ``spans`` (or None when untraced) are this subtree's
-    finished span records, folded back with ``tracer.absorb`` so one
-    trace_id covers coordinator and workers.
+    Both engines run every task through here: pool workers for
+    dispatched tasks, and the coordinator in-process for serial
+    fallbacks and ``run_suite``'s inline jobs.  ``budget`` is the
+    coordinator's :class:`GlobalBudget` for an in-process call; pool
+    workers use the one their initializer installed.  Returns ``(index,
+    attempt, result, snapshot)``, where the snapshot is the child
+    observer's, for the coordinator's ``Observer.absorb``.
     """
-    index, attempt, program, model_spec, options, prefix, trace_path, \
-        collect_metrics, span_ctx = task
-    _maybe_inject_fault(index, attempt)
-    tracer = NULL_TRACER
-    if span_ctx is not None:
-        tracer = SpanTracer(
-            trace_id=span_ctx["trace_id"],
-            remote_parent=span_ctx["span_id"],
-        )
-    observer = NULL_OBSERVER
-    if trace_path is not None:
-        observer = Observer.to_file(trace_path)
-        if tracer.enabled:
-            observer.tracer = tracer
-            observer.metrics.tracer = tracer
-    elif collect_metrics or tracer.enabled:
-        observer = Observer(tracer=tracer)
+    index, attempt, program, model_spec, options, prefix, ctx = task
+    observer = NULL_OBSERVER if ctx is None else ctx.observer(index, attempt)
     try:
-        with tracer.span(
-            f"subtree:{index}", cat="worker", task=index, attempt=attempt
+        with observer.tracer.span(
+            f"explore:{program.name}",
+            cat="worker",
+            parent=ctx.span_id if ctx is not None else None,
+            task=index,
+            attempt=attempt,
         ):
             result = Explorer(
                 program,
@@ -334,34 +325,14 @@ def _run_subtree(
                 options,
                 observer=observer,
                 root=prefix,
-                budget=_WORKER_BUDGET,
+                budget=budget if budget is not None else _WORKER_BUDGET,
             ).run()
     finally:
         observer.close()
-    snapshot = observer.metrics_snapshot() if collect_metrics else None
-    spans = tracer.snapshot() if tracer.enabled else None
-    return index, attempt, result, snapshot, spans
+    return index, attempt, result, observer.snapshot()
 
 
 # -- coordinator side ------------------------------------------------------
-
-
-def _worker_trace_base(observer) -> str | None:
-    """The coordinator's trace file path, when it traces to a file."""
-    trace = getattr(observer, "trace", None)
-    if trace is not None and isinstance(trace.sink, FileSink):
-        return trace.sink.path
-    return None
-
-
-def _trace_path(base: str | None, index: int, attempt: int) -> str | None:
-    """Per-attempt worker trace path (retries must not clobber the
-    evidence a failed attempt left behind)."""
-    if base is None:
-        return None
-    if attempt == 0:
-        return f"{base}.worker{index}"
-    return f"{base}.worker{index}.retry{attempt}"
 
 
 @dataclass
@@ -418,9 +389,10 @@ class PoolSupervisor:
     Work is described, not owned: callers pass a picklable worker
     function plus a mapping ``index -> payload factory``; the factory
     is called with the attempt number so retries can build fresh
-    payloads (e.g. per-attempt trace paths).  Completed values are
-    handed to ``on_result(index, value)``, which returns True to stop
-    dispatch (stop-on-error); the supervisor stores no results itself.
+    payloads (the attempt names a worker's trace file).  Completed
+    values are handed to ``on_result(index, value)``, which returns
+    True to stop dispatch (stop-on-error); the supervisor stores no
+    results itself.
 
     Every task is an ``apply_async`` handle polled by the coordinator,
     so the three failure modes a bare pool is blind to become
@@ -507,7 +479,11 @@ class PoolSupervisor:
     def _submit(self, state: _TaskState) -> None:
         attempt = state.attempts
         payload = self._payloads[state.index](attempt)
-        state.handles.append(self.pool.apply_async(self._fn, (payload,)))
+        state.handles.append(
+            self.pool.apply_async(
+                _pool_entry, (self._fn, state.index, attempt, payload)
+            )
+        )
         state.attempts = attempt + 1
         state.deadline = (
             None
@@ -750,12 +726,9 @@ def verify_parallel(
     worker_options = replace(
         split_options, max_executions=None, max_explored=None
     )
-    trace_base = _worker_trace_base(obs)
     supervisor = None
     cancelled = 0
     worker_results: dict[int, VerificationResult] = {}
-    snapshots: dict[int, dict] = {}
-    winning_paths: dict[int, str] = {}
     if not aborted and frontier:
         if obs.trace_enabled:
             obs.emit("parallel_dispatch", tasks=len(frontier), jobs=jobs)
@@ -768,50 +741,32 @@ def verify_parallel(
             initargs=(budget,),
             observer=obs,
         )
-        collect_metrics = obs.enabled
         model_spec = _model_spec(model)
-        # the propagation token workers parent their subtree spans on;
-        # None (no tracer) keeps the task payload span-free.  With a
-        # tracer but no active span the workers still join the trace,
-        # their subtree spans becoming roots of it.
-        span_ctx = None
-        if obs.tracer.enabled:
-            span_ctx = obs.tracer.current_context() or {
-                "trace_id": obs.tracer.trace_id,
-                "span_id": None,
-            }
+        telemetry = obs.context()
 
-        def _payload(index: int, prefix: ExecutionGraph):
-            def make(attempt: int) -> SubtreeTask:
+        def _payload(index: int):
+            def make(attempt: int) -> Task:
                 return (
                     index,
                     attempt,
                     program,
                     model_spec,
                     worker_options,
-                    prefix,
-                    _trace_path(trace_base, index, attempt),
-                    collect_metrics,
-                    span_ctx,
+                    frontier[index],
+                    telemetry,
                 )
 
             return make
 
         def _on_result(index: int, value) -> bool:
-            _, attempt, result, snapshot, spans = value
+            _, _, result, snapshot = value
             worker_results[index] = result
-            if snapshot is not None:
-                snapshots[index] = snapshot
-            if spans:
-                obs.tracer.absorb(spans)
-            path = _trace_path(trace_base, index, attempt)
-            if path is not None:
-                winning_paths[index] = path
+            obs.absorb(snapshot, worker=index)
             return bool(options.stop_on_error and result.errors)
 
         supervisor.run(
-            _run_subtree,
-            {i: _payload(i, p) for i, p in enumerate(frontier)},
+            run_task,
+            {i: _payload(i) for i in range(len(frontier))},
             _on_result,
         )
         cancelled = supervisor.cancelled
@@ -821,43 +776,14 @@ def verify_parallel(
         for position, index in enumerate(supervisor.fallback):
             if obs.trace_enabled:
                 obs.emit("task_fallback", task=index)
-            # the fallback explorer gets its *own* registry (not the
-            # coordinator's): its result.phase_times must cover only
-            # this subtree, and VerificationResult.merge folds them in
-            # — sharing the coordinator registry would double-count.
-            # Counters/histograms travel by snapshot, like a worker's.
-            fb_obs = NULL_OBSERVER
-            if obs.enabled:
-                # the coordinator's tracer is shared (spans are append-
-                # only, unlike phase timers, so no double-count risk):
-                # the fallback subtree's phases land on the same trace
-                fb_obs = Observer(
-                    trace=obs.trace if obs.trace_enabled else None,
-                    tracer=obs.tracer if obs.tracer.enabled else None,
-                )
-            with obs.tracer.span(
-                f"subtree:{index}", cat="worker", task=index, fallback=True
-            ):
-                worker_results[index] = Explorer(
-                    program,
-                    model,
-                    worker_options,
-                    observer=fb_obs,
-                    root=frontier[index],
-                    budget=budget,
-                ).run()
-            if fb_obs.enabled:
-                snapshots[index] = fb_obs.metrics_snapshot()
-            if options.stop_on_error and worker_results[index].errors:
+            attempt = supervisor.states[index].attempts
+            value = run_task(_payload(index)(attempt), budget)
+            if _on_result(index, value):
                 cancelled += len(supervisor.fallback) - position - 1
                 break
     for index in sorted(worker_results):
         merged = merged.merge(worker_results[index])
     if supervisor is not None and obs.enabled:
-        # fold worker-side counters/histograms into the coordinator's
-        # registry (phases already arrived through result.phase_times)
-        for index in sorted(snapshots):
-            obs.metrics.merge_snapshot(snapshots[index])
         skew = _worker_skew(worker_results)
         if skew is not None:
             merged.meta["worker_skew"] = skew
@@ -872,8 +798,6 @@ def verify_parallel(
                     errors=len(sub.errors),
                     elapsed=round(sub.elapsed, 6),
                 )
-    if supervisor is not None and trace_base is not None:
-        _fold_worker_traces(obs, sorted(winning_paths.items()))
     merged.elapsed = time.perf_counter() - start
     merged.truncated = (
         merged.truncated
@@ -947,32 +871,3 @@ def _worker_skew(worker_results: dict[int, VerificationResult]) -> dict | None:
         "min_elapsed": round(min(elapsed), 6),
         "max_elapsed": round(max(elapsed), 6),
     }
-
-
-def _fold_worker_traces(observer, indexed_paths: list[tuple[int, str]]) -> None:
-    """Re-emit each worker's trace records into the coordinator trace.
-
-    Records keep their type and fields, gain a ``worker`` index, and are
-    re-stamped with the coordinator's ``seq``/``ts`` (per-worker files
-    stay on disk for debugging).  ``trace_start`` records are skipped so
-    the merged file has a single header.  Only the *winning* attempt of
-    each task is folded — failed attempts' partial traces would make
-    ``trace-summary`` disagree with the merged result — and a file cut
-    off mid-record (worker terminated while writing) contributes its
-    valid prefix plus a ``trace_truncated`` marker instead of being
-    discarded wholesale.
-    """
-    for index, path in sorted(indexed_paths):
-        try:
-            records, truncated = read_trace_prefix(path)
-        except OSError:
-            continue  # a cancelled worker may have left nothing behind
-        for record in records:
-            type_ = record.pop("t")
-            if type_ == "trace_start":
-                continue
-            record.pop("seq", None)
-            record.pop("ts", None)
-            observer.emit(type_, worker=index, **record)
-        if truncated:
-            observer.emit("trace_truncated", worker=index, kept=len(records))

@@ -15,9 +15,9 @@ See docs/OBSERVABILITY.md for the trace schema and metric names.
 
 from .export import service_families, to_prometheus
 from .metrics import Histogram, MetricsRegistry, PhaseStat
-from .observer import NULL_OBSERVER, NullObserver, Observer
+from .observer import NULL_OBSERVER, NullObserver, Observer, TaskContext
 from .profile import format_profile, memo_rates
-from .progress import ProgressMeter, ProgressReporter, parse_progress_spec
+from .progress import ProgressReporter, parse_progress_spec
 from .runstore import (
     MANIFEST_SCHEMA_VERSION,
     MANIFEST_SCHEMAS,
@@ -70,7 +70,7 @@ __all__ = [
     "NULL_OBSERVER",
     "NullObserver",
     "Observer",
-    "ProgressMeter",
+    "TaskContext",
     "ProgressReporter",
     "parse_progress_spec",
     "format_profile",

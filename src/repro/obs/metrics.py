@@ -203,9 +203,7 @@ class MetricsRegistry:
         """Everything the registry knows, as plain JSON-ready data.
 
         The snapshot is built from plain dicts/floats only, so it
-        pickles across process boundaries — parallel workers return one
-        per subtree task and the coordinator folds them back with
-        :meth:`merge_snapshot`.
+        pickles across process boundaries.
         """
         return {
             "counters": dict(self.counters),
@@ -214,17 +212,15 @@ class MetricsRegistry:
             "phases": self.phase_report(),
         }
 
-    def merge_snapshot(self, snap: dict, include_phases: bool = False) -> None:
-        """Fold another registry's :meth:`snapshot` into this one.
+    def merge_snapshot(self, snap: dict) -> None:
+        """Fold another registry's counters, gauges and histograms in.
 
         Counters and histograms sum; gauges keep the maximum (they are
         point-in-time readings, and "worst seen anywhere" is the only
         aggregation that stays meaningful across workers).  Phase
-        timings are skipped by default because the parallel engine
-        already merges them through ``VerificationResult.phase_times``
-        — folding them here too would double-count; pass
-        ``include_phases=True`` only when the snapshot's phases travel
-        no other way.
+        timings are never folded: they travel in
+        ``VerificationResult.phase_times``, and folding them here too
+        would count them twice.
         """
         for name, value in snap.get("counters", {}).items():
             self.inc(name, value)
@@ -236,11 +232,3 @@ class MetricsRegistry:
             if hist is None:
                 hist = self.histograms[name] = Histogram()
             hist.merge_dict(hist_snap)
-        if include_phases:
-            for name, stat_snap in snap.get("phases", {}).items():
-                stat = self._phases.get(name)
-                if stat is None:
-                    stat = self._phases[name] = PhaseStat()
-                stat.calls += int(stat_snap.get("calls", 0))
-                stat.total += stat_snap.get("total", 0.0)
-                stat.self_time += stat_snap.get("self", 0.0)

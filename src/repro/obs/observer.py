@@ -13,14 +13,24 @@ whether anything is listening.  Two implementations exist:
   :class:`~repro.obs.metrics.MetricsRegistry`, an optional
   :class:`~repro.obs.trace.TraceWriter` and an optional
   :class:`~repro.obs.progress.ProgressReporter`.
+
+A coordinator that splits a run into tasks (``verify(jobs=N)``,
+``run_suite``) hands each task one :class:`TaskContext` from
+:meth:`Observer.context`; the task runs under the child observer the
+context builds, and the child's :meth:`~Observer.snapshot` comes back
+through :meth:`Observer.absorb`.  That is the only way worker
+telemetry returns, whether the task ran in a pool worker or in the
+coordinator's own process.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from .metrics import MetricsRegistry
 from .progress import ProgressReporter
-from .spans import NULL_TRACER
-from .trace import FileSink, MemorySink, TraceWriter
+from .spans import NULL_TRACER, SpanTracer
+from .trace import FileSink, MemorySink, TraceWriter, read_trace_prefix
 
 
 class _NullContext:
@@ -66,6 +76,15 @@ class NullObserver:
 
     def metrics_snapshot(self) -> dict:
         return {}
+
+    def context(self, span=None) -> "TaskContext | None":
+        return None
+
+    def snapshot(self) -> dict:
+        return {}
+
+    def absorb(self, snapshot: dict, worker: int) -> None:
+        pass
 
     def finish(self, **counts) -> None:
         pass
@@ -151,6 +170,64 @@ class Observer(NullObserver):
     def metrics_snapshot(self) -> dict:
         return self.metrics.snapshot()
 
+    # -- tasks -----------------------------------------------------------
+
+    def context(self, span=None) -> "TaskContext":
+        """The telemetry hand-off for one task.  Its spans hang under
+        ``span`` (a span dict), or under the current span when None."""
+        if span is None:
+            current = self.tracer.current_context()
+            span_id = current["span_id"] if current is not None else None
+        else:
+            span_id = span["span_id"]
+        trace_path = None
+        if self.trace is not None and isinstance(self.trace.sink, FileSink):
+            trace_path = self.trace.sink.path
+        return TaskContext(
+            self,
+            trace_path,
+            self.tracer.trace_id if self.tracer.enabled else None,
+            span_id,
+        )
+
+    def snapshot(self) -> dict:
+        """What a task hands back to its coordinator: counters, gauges
+        and histograms as plain picklable data.  Phase timings are left
+        out; they travel in ``VerificationResult.phase_times``."""
+        snap = self.metrics.snapshot()
+        del snap["phases"]
+        return snap
+
+    def absorb(self, snapshot: dict, worker: int) -> None:
+        """Fold one task's :meth:`snapshot` into this observer.
+
+        Counters and histograms sum and gauges keep the maximum; the
+        task's finished spans join this tracer; and the records of the
+        task's trace file are re-emitted here, tagged ``worker`` and
+        re-stamped with this trace's ``seq``/``ts`` (its
+        ``trace_start`` is dropped, so the trace keeps one header).  A
+        file cut off mid-record contributes its valid prefix plus a
+        ``trace_truncated`` marker; a missing file contributes nothing.
+        """
+        self.metrics.merge_snapshot(snapshot)
+        self.tracer.absorb(snapshot.get("spans"))
+        path = snapshot.get("trace")
+        if path is None:
+            return
+        try:
+            records, truncated = read_trace_prefix(path)
+        except OSError:
+            return
+        for record in records:
+            type_ = record.pop("t")
+            if type_ == "trace_start":
+                continue
+            record.pop("seq", None)
+            record.pop("ts", None)
+            self.emit(type_, worker=worker, **record)
+        if truncated:
+            self.emit("trace_truncated", worker=worker, kept=len(records))
+
     def records(self) -> list[dict]:
         """The buffered records, when tracing to a MemorySink."""
         if self.trace is not None and isinstance(self.trace.sink, MemorySink):
@@ -164,3 +241,80 @@ class Observer(NullObserver):
     def close(self) -> None:
         if self.trace is not None:
             self.trace.close()
+
+
+class TaskObserver(Observer):
+    """The child observer one task runs under (see :class:`TaskContext`).
+
+    It owns its metrics registry, so the task's ``phase_times`` cover
+    that task alone.  In a pool worker it also owns its trace file and
+    span tracer, and :meth:`snapshot` hands both back.  In the
+    coordinator's process it shares the coordinator's trace writer,
+    tracer and progress reporter, whose records and spans then need no
+    fold, and :meth:`close` leaves them open.
+    """
+
+    def __init__(self, shared: bool, **parts) -> None:
+        super().__init__(**parts)
+        self.shared = shared
+
+    def snapshot(self) -> dict:
+        snap = super().snapshot()
+        if not self.shared:
+            snap["spans"] = self.tracer.snapshot()
+            if self.trace is not None:
+                snap["trace"] = self.trace.sink.path
+        return snap
+
+    def close(self) -> None:
+        if not self.shared:
+            super().close()
+
+
+@dataclass(frozen=True)
+class TaskContext:
+    """A coordinator's telemetry, handed to one task.
+
+    Picklable, so it rides in pool task payloads.  Pickling leaves the
+    live coordinator behind: a pool worker builds its own observer,
+    tracing to ``<trace_path>.worker<i>[.retry<k>]`` when the
+    coordinator traces to a file, and recording spans under
+    ``span_id`` when it records spans.  Used in the coordinator's own
+    process, the context builds a child that shares the coordinator's
+    trace writer, tracer and progress reporter.
+    """
+
+    parent: Observer | None
+    trace_path: str | None
+    trace_id: str | None
+    span_id: str | None
+
+    def __reduce__(self):
+        return (
+            TaskContext,
+            (None, self.trace_path, self.trace_id, self.span_id),
+        )
+
+    def observer(self, worker: int, attempt: int) -> TaskObserver:
+        """The child observer for one attempt of task ``worker``."""
+        parent = self.parent
+        if parent is not None:
+            return TaskObserver(
+                shared=True,
+                trace=parent.trace,
+                progress=parent.progress,
+                tracer=parent.tracer,
+            )
+        trace = None
+        if self.trace_path is not None:
+            # a retry must not clobber what a failed attempt left behind
+            path = f"{self.trace_path}.worker{worker}"
+            if attempt:
+                path += f".retry{attempt}"
+            trace = TraceWriter(FileSink(path))
+        tracer = None
+        if self.trace_id is not None:
+            tracer = SpanTracer(
+                trace_id=self.trace_id, remote_parent=self.span_id
+            )
+        return TaskObserver(shared=False, trace=trace, tracer=tracer)

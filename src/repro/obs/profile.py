@@ -22,7 +22,7 @@ Activation nests (a fallback explorer inside a parallel coordinator
 restores the outer registry on exit) and is per-process: parallel
 workers activate their own observer's registry in their own process,
 and the coordinator folds the snapshots back (see
-``MetricsRegistry.merge_snapshot``).
+``Observer.absorb``).
 
 Metric names the hooks reserve (all live in the ordinary counter /
 histogram / phase namespaces of the registry):

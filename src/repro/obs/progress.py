@@ -123,8 +123,3 @@ class ProgressReporter:
             f"in {elapsed:.1f}s ({rate:.0f}/s){' ' if shown else ''}{shown}",
             file=self.stream,
         )
-
-
-#: the name the docs use for the heartbeat component; kept as an alias
-#: so ``from repro.obs import ProgressMeter`` reads naturally
-ProgressMeter = ProgressReporter

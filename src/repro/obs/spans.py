@@ -21,13 +21,12 @@ False and no-ops everything, so instrumentation sites guard span
 construction behind one attribute check and cost ~nothing when
 tracing is off (the same <5% budget the observer holds).
 
-Context crosses process boundaries as a **propagation token** — a
-plain picklable dict ``{"trace_id": ..., "span_id": ...}`` riding the
-existing payload tuples (``SubtreeTask``, suite job payloads).  The
-worker builds its own :class:`SpanTracer` adopting the remote parent,
-returns ``tracer.snapshot()`` with its result, and the coordinator
-folds the segments back with :meth:`SpanTracer.absorb` — the same
-shape as the PR-5 worker-metrics merge.
+Context crosses process boundaries inside the coordinator's
+:class:`~repro.obs.TaskContext` (a trace id and the parent span id)
+riding the pool task payload.  The worker builds its own
+:class:`SpanTracer` adopting the remote parent, its finished spans
+come back in the task's observer snapshot, and the coordinator's
+``Observer.absorb`` folds them in with :meth:`SpanTracer.absorb`.
 
 Three exporters:
 

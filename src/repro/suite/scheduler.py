@@ -38,11 +38,11 @@ from dataclasses import dataclass, field, replace
 
 from ..core.config import ExplorationOptions, resolve_options
 from ..core.estimate import estimate_explorations
-from ..core.explorer import Explorer, effective_jobs
+from ..core.explorer import effective_jobs
 from ..core.parallel import (
     PoolSupervisor,
-    _maybe_inject_fault,
     _model_spec,
+    run_task,
     split_frontier,
 )
 from ..core.report import from_dict
@@ -56,8 +56,7 @@ from ..litmus.runner import (
     verdict_from_result,
 )
 from ..models import MemoryModel, get_model
-from ..obs import NULL_OBSERVER, Observer
-from ..obs.spans import NULL_TRACER, SpanTracer
+from ..obs import NULL_OBSERVER
 from .cache import ResultCache, task_key
 from .result import SuiteResult, TaskResult
 
@@ -150,48 +149,6 @@ def litmus_matrix(
                 )
             )
     return grid
-
-
-# -- worker side -----------------------------------------------------------
-
-
-def _run_suite_job(payload):
-    """Pool entry point: run one whole task or one subtree shard.
-
-    ``payload`` is ``(job, attempt, program, model_spec, options,
-    prefix, collect_metrics, span_ctx)``; ``prefix`` None means explore
-    the whole program.  Returns ``(result, metrics snapshot | None,
-    spans | None)`` — when a span context rides in, the worker's
-    exploration (and every phase inside it, via the registry's tracer)
-    is recorded as spans parented on the coordinator's suite-task span
-    and shipped back for the coordinator to absorb.
-    """
-    job, attempt, program, model_spec, options, prefix, collect, \
-        span_ctx = payload
-    _maybe_inject_fault(job, attempt)
-    tracer = NULL_TRACER
-    if span_ctx is not None:
-        tracer = SpanTracer(
-            trace_id=span_ctx["trace_id"],
-            remote_parent=span_ctx["span_id"],
-        )
-    observer = (
-        Observer(tracer=tracer)
-        if collect or tracer.enabled
-        else NULL_OBSERVER
-    )
-    try:
-        with tracer.span(
-            f"explore:{program.name}", cat="worker", job=job, attempt=attempt
-        ):
-            result = Explorer(
-                program, model_spec, options, observer=observer, root=prefix
-            ).run()
-    finally:
-        observer.close()
-    snapshot = observer.metrics_snapshot() if collect else None
-    spans = tracer.snapshot() if tracer.enabled else None
-    return result, snapshot, spans
 
 
 # -- coordinator side ------------------------------------------------------
@@ -448,18 +405,30 @@ def run_suite(
             if not plan.prefixes:  # search completed during splitting
                 _finalize(plan, shards=1)
 
-    collect_metrics = obs.enabled
-    snapshots: list[dict] = []
     acct: dict = {}
-    fallback: list[int] = []
+
+    def _payload(job: int):
+        plan, _shard, options, prefix = specs[job]
+        model_spec = _model_spec(plan.task.model)
+        telemetry = obs.context(plan.span)
+
+        def make(attempt: int):
+            return (
+                job,
+                attempt,
+                plan.task.program,
+                model_spec,
+                options,
+                prefix,
+                telemetry,
+            )
+
+        return make
 
     def _complete(job: int, value) -> bool:
         plan, shard, _options, _prefix = specs[job]
-        result, snapshot, spans = value
-        if snapshot is not None:
-            snapshots.append(snapshot)
-        if spans:
-            tracer.absorb(spans)
+        _, _, result, snapshot = value
+        obs.absorb(snapshot, worker=job)
         if shard not in plan.pieces:
             plan.pieces[shard] = result
             plan.remaining -= 1
@@ -469,25 +438,6 @@ def run_suite(
                     shards=1 if plan.prefixes is None else len(plan.prefixes),
                 )
         return False  # a suite never stops early: other tasks are independent
-
-    def _run_inline(job: int) -> None:
-        plan, shard, options, prefix = specs[job]
-        with tracer.span(
-            f"explore:{plan.task.program.name}",
-            cat="worker",
-            parent=plan.span,  # mirror the pooled path's remote_parent
-            job=job,
-            task=plan.task.id,
-            inline=True,
-        ):
-            result = Explorer(
-                plan.task.program,
-                plan.task.model,
-                options,
-                observer=obs,
-                root=prefix,
-            ).run()
-        _complete(job, (result, None, None))
 
     pool_jobs = len(specs)
     if jobs > 1 and pool_jobs:
@@ -508,47 +458,17 @@ def run_suite(
                 task_retries=task_retries,
                 observer=obs,
             )
-
-        def _payload(job: int):
-            plan, _shard, options, prefix = specs[job]
-            model_spec = _model_spec(plan.task.model)
-            span_ctx = (
-                {
-                    "trace_id": tracer.trace_id,
-                    "span_id": plan.span["span_id"],
-                }
-                if plan.span is not None
-                else None
-            )
-
-            def make(attempt: int):
-                return (
-                    job,
-                    attempt,
-                    plan.task.program,
-                    model_spec,
-                    options,
-                    prefix,
-                    collect_metrics,
-                    span_ctx,
-                )
-
-            return make
-
         supervisor.run(
-            _run_suite_job, {job: _payload(job) for job in specs}, _complete
+            run_task, {job: _payload(job) for job in specs}, _complete
         )
         acct = dict(supervisor.acct)
         acct["tasks_fallback"] = len(supervisor.fallback)
         for job in supervisor.fallback:
-            _run_inline(job)
+            attempt = supervisor.states[job].attempts
+            _complete(job, run_task(_payload(job)(attempt)))
     else:
         for job in specs:
-            _run_inline(job)
-
-    if collect_metrics:
-        for snapshot in snapshots:
-            obs.metrics.merge_snapshot(snapshot)
+            _complete(job, run_task(_payload(job)(0)))
 
     suite = SuiteResult(
         tasks=[results[pos] for pos in sorted(results)],

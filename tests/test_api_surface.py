@@ -1,5 +1,5 @@
 """The public API surface: the façade export list is pinned, every
-symbol imports, and the deprecated engine wrappers warn."""
+symbol imports, and the engine wrappers removed in 2.0 stay gone."""
 
 import subprocess
 import sys
@@ -97,7 +97,11 @@ class TestFacade:
 
 
 class TestDeprecatedShims:
-    BACKEND_SHIMS = [
+    """The ``explore_*``/``brute_force`` wrappers were removed in 2.0;
+    the raw implementations live in the ``repro.baselines`` submodules
+    and engines are selected through ``get_backend``."""
+
+    REMOVED = [
         "explore_interleavings",
         "explore_dpor",
         "explore_store_buffers",
@@ -105,37 +109,19 @@ class TestDeprecatedShims:
         "brute_force",
     ]
 
-    @pytest.mark.parametrize("name", BACKEND_SHIMS)
-    def test_backends_attribute_warns(self, name):
+    def test_removed_shims_are_gone(self):
         import repro.backends as backends
+        import repro.baselines as baselines
 
-        with pytest.warns(DeprecationWarning, match="removed in repro 2.0"):
-            shim = getattr(backends, name)
-        assert callable(shim)
+        for name in self.REMOVED:
+            assert not hasattr(backends, name), name
+            assert not hasattr(baselines, name), name
 
     def test_backends_unknown_attribute_raises(self):
         import repro.backends as backends
 
         with pytest.raises(AttributeError):
             backends.explore_nonsense
-
-    def test_baselines_call_warns_with_removal_note(self):
-        from repro.baselines import explore_dpor
-        from repro.bench.workloads import sb_n
-
-        with pytest.warns(DeprecationWarning, match="removed in repro 2.0"):
-            explore_dpor(sb_n(2))
-
-    def test_backends_shim_delegates_to_raw_impl(self):
-        import repro.backends as backends
-        from repro.baselines.dpor import explore_dpor as raw
-        from repro.bench.workloads import sb_n
-
-        with pytest.warns(DeprecationWarning):
-            shim = backends.explore_dpor
-        assert shim is raw
-        result = shim(sb_n(2))
-        assert result.traces > 0
 
     def test_importing_backends_is_warning_free(self):
         code = (

@@ -108,28 +108,12 @@ class TestUniformResults:
 
 
 class TestDeprecatedWrappers:
-    def test_explore_wrappers_warn(self):
-        import repro.baselines as B
-
-        for name in (
-            "brute_force",
-            "explore_dpor",
-            "explore_interleavings",
-            "explore_store_buffers",
-            "explore_with_state_hashing",
-        ):
-            fn = getattr(B, name)
-            with pytest.warns(DeprecationWarning, match="get_backend"):
-                if name == "brute_force":
-                    fn(sb(), "sc")
-                elif name == "explore_store_buffers":
-                    fn(sb(), "tso")
-                else:
-                    fn(sb())
+    """The ``explore_*``/``brute_force`` wrappers were removed in 2.0;
+    the raw implementations they re-exported keep their result types."""
 
     def test_wrappers_still_return_legacy_types(self):
-        from repro.baselines import InterleavingResult, explore_interleavings
+        from repro.baselines import InterleavingResult
+        from repro.baselines.interleaving import explore_interleavings
 
-        with pytest.warns(DeprecationWarning):
-            raw = explore_interleavings(sb())
+        raw = explore_interleavings(sb())
         assert isinstance(raw, InterleavingResult)

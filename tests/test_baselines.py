@@ -4,12 +4,10 @@ cross-validation (axiomatic vs operational vs HMC) on litmus tests."""
 import pytest
 
 from repro import verify
-from repro.baselines import (
-    brute_force,
-    explore_dpor,
-    explore_interleavings,
-    explore_store_buffers,
-)
+from repro.baselines.dpor import explore_dpor
+from repro.baselines.exhaustive import brute_force
+from repro.baselines.interleaving import explore_interleavings
+from repro.baselines.storebuffer import explore_store_buffers
 from repro.graphs import canonical_key
 from repro.lang import ProgramBuilder
 from repro.litmus import get_litmus

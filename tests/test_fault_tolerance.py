@@ -7,9 +7,9 @@ merge-layer bugfixes (boolean meta, keyed/unkeyed mixing), and
 truncated-worker-trace folding.
 
 Fault injection uses the ``REPRO_FAULT_INJECT`` hook in
-``repro.core.parallel._run_subtree`` (documented there): workers crash
-(SIGKILL themselves), hang, or raise — once (marker file) or on every
-attempt (no marker, exercising the serial-fallback path).
+``repro.core.parallel._maybe_inject_fault`` (documented there): pool
+workers crash (SIGKILL themselves), hang, or raise — once (marker file)
+or on every attempt (no marker, exercising the serial-fallback path).
 """
 
 import os
@@ -150,8 +150,6 @@ class TestTruncatedTraces:
         assert truncated
 
     def test_fold_keeps_valid_prefix_and_marks(self, tmp_path):
-        from repro.core.parallel import _fold_worker_traces
-
         worker = tmp_path / "run.jsonl.worker0"
         self._write(
             worker,
@@ -162,7 +160,7 @@ class TestTruncatedTraces:
             ],
         )
         obs = Observer.in_memory()
-        _fold_worker_traces(obs, [(0, str(worker))])
+        obs.absorb({"trace": str(worker)}, worker=0)
         types = [r["t"] for r in obs.records()]
         assert "graph_complete" in types  # valid prefix folded, not lost
         assert "trace_truncated" in types
@@ -170,10 +168,8 @@ class TestTruncatedTraces:
         assert marker["worker"] == 0 and marker["kept"] == 2
 
     def test_missing_file_still_skipped(self, tmp_path):
-        from repro.core.parallel import _fold_worker_traces
-
         obs = Observer.in_memory()
-        _fold_worker_traces(obs, [(0, str(tmp_path / "nope.jsonl"))])
+        obs.absorb({"trace": str(tmp_path / "nope.jsonl")}, worker=0)
         assert [r["t"] for r in obs.records()] == ["trace_start"]
 
 

@@ -20,7 +20,7 @@ produced.
 import pytest
 
 from repro import verify
-from repro.baselines import brute_force
+from repro.baselines.exhaustive import brute_force
 from repro.graphs import canonical_key
 from repro.util.randprog import RandomProgramGenerator
 

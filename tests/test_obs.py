@@ -324,11 +324,9 @@ class TestProgress:
         assert rep.beats >= 4  # one per completed graph, plus the final line
 
     def test_baselines_tick_progress(self):
-        from repro.baselines import (
-            explore_dpor,
-            explore_interleavings,
-            explore_store_buffers,
-        )
+        from repro.baselines.dpor import explore_dpor
+        from repro.baselines.interleaving import explore_interleavings
+        from repro.baselines.storebuffer import explore_store_buffers
 
         for explore in (explore_interleavings, explore_dpor):
             stream = io.StringIO()

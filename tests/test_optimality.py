@@ -11,7 +11,8 @@ separation against trace-based exploration.
 import pytest
 
 from repro import verify
-from repro.baselines import explore_interleavings, explore_store_buffers
+from repro.baselines.interleaving import explore_interleavings
+from repro.baselines.storebuffer import explore_store_buffers
 from repro.bench import workloads as W
 from repro.litmus import all_litmus_tests
 

@@ -17,6 +17,7 @@ from repro.core import (
     verify,
     verify_parallel,
 )
+from repro.bench.workloads import fib_bench
 from repro.core.result import ExecutionRecord, Stats
 from repro.lang import ProgramBuilder
 from repro.litmus import MODELS, all_litmus_tests
@@ -298,22 +299,101 @@ class TestWorkerMetricsMerge:
             )
         return result, obs.metrics.snapshot()
 
-    def test_merged_counters_match_serial(self):
-        program = sb_n(3)
-        serial_res, serial_snap = self.run_observed(program, "tso", None)
-        parallel_res, parallel_snap = self.run_observed(program, "tso", 2)
-        assert parallel_res.meta.get("tasks", 0) > 0  # workers really ran
-        assert parallel_res.executions == serial_res.executions
-        # subtree tasks partition the serial DFS, so the merged hook
-        # counters (memo hits, fail counts) reproduce the serial run's
-        assert parallel_snap["counters"] == serial_snap["counters"]
-        # histograms carry the same population (bucket-exact)
-        for name, hist in serial_snap["histograms"].items():
-            merged = parallel_snap["histograms"][name]
-            assert merged["count"] == hist["count"], name
-            assert merged["buckets"] == hist["buckets"], name
-            assert merged["min"] == hist["min"], name
-            assert merged["max"] == hist["max"], name
+    #: per engine, the (program, model) tasks it runs
+    FOLD_TASKS = {
+        "verify": [(sb_n(3), "tso")],
+        "run_suite": [(sb_n(3), "tso"), (fib_bench(2), "sc")],
+    }
+
+    def fold_view(self, path, obs, results):
+        """What a traced run reports, by every telemetry route: the
+        trace-summary counts, the merged counters and histograms, and
+        each task's phase call counts."""
+        from repro.obs import summarize_file
+
+        summary = summarize_file(path)
+        snap = obs.metrics.snapshot()
+        return {
+            "trace": (
+                summary.executions,
+                summary.blocked,
+                summary.duplicates,
+                summary.events_added,
+            ),
+            "counters": snap["counters"],
+            "histograms": {
+                name: (h["count"], h["buckets"], h["min"], h["max"])
+                for name, h in snap["histograms"].items()
+            },
+            "phase_calls": [
+                {name: stat["calls"] for name, stat in r.phase_times.items()}
+                for r in results
+            ],
+        }
+
+    def serial_view(self, tasks, tmp_path):
+        """The serial run: each task explored in turn by the serial
+        Explorer under one traced observer.  Each task's phase calls
+        come from a standalone run, since one registry accumulates
+        phases across the tasks it observes."""
+        from repro.obs import Observer
+
+        path = str(tmp_path / "serial.jsonl")
+        obs = Observer.to_file(path)
+        options = ExplorationOptions(stop_on_error=False)
+        for program, model in tasks:
+            Explorer(program, model, options, observer=obs).run()
+        obs.close()
+        alone = [
+            Explorer(program, model, options, observer=Observer()).run()
+            for program, model in tasks
+        ]
+        return self.fold_view(path, obs, alone)
+
+    @pytest.mark.parametrize("mode", ["jobs1", "jobs2", "fallback"])
+    @pytest.mark.parametrize("engine", ["verify", "run_suite"])
+    def test_merged_counters_match_serial(
+        self, engine, mode, tmp_path, monkeypatch
+    ):
+        """However a run is split — serially, over a pool, or with a
+        task forced onto the coordinator's serial fallback on every
+        attempt — its telemetry folds back to the serial run's."""
+        from repro.obs import Observer
+        from repro.suite import program_task, run_suite
+
+        monkeypatch.delenv("REPRO_FAULT_INJECT", raising=False)
+        tasks = self.FOLD_TASKS[engine]
+        expected = self.serial_view(tasks, tmp_path)
+        if mode == "fallback":
+            monkeypatch.setenv("REPRO_FAULT_INJECT", "raise:0")
+        jobs = 1 if mode == "jobs1" else 2
+        path = str(tmp_path / "run.jsonl")
+        obs = Observer.to_file(path)
+        if engine == "verify":
+            [(program, model)] = tasks
+            result = verify_parallel(
+                program,
+                model,
+                ExplorationOptions(stop_on_error=False),
+                observer=obs,
+                jobs=jobs,
+            )
+            results = [result]
+            fallbacks = result.meta.get("tasks_fallback", 0)
+            if jobs > 1:
+                assert result.meta["tasks"] > 0  # workers really ran
+        else:
+            suite = run_suite(
+                [program_task(p, m) for p, m in tasks],
+                jobs=jobs,
+                cache=False,
+                observer=obs,
+            )
+            results = [t.result for t in suite.tasks]
+            fallbacks = suite.acct.get("tasks_fallback", 0)
+        obs.close()
+        assert (fallbacks >= 1) == (mode == "fallback")
+        assert self.fold_view(path, obs, results) == expected
 
     def test_worker_skew_meta(self):
         result, _ = self.run_observed(sb_n(3), "tso", 2)

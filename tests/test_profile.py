@@ -169,8 +169,6 @@ class TestSnapshotMerge:
             pass
         a.merge_snapshot(b.snapshot())
         assert "work" not in a.phase_stats()
-        a.merge_snapshot(b.snapshot(), include_phases=True)
-        assert a.phase_stats()["work"].calls == 1
 
 
 class TestFormatProfile:

@@ -1,6 +1,7 @@
 """Tests for the state-hashing (stateful MC) baseline."""
 
-from repro.baselines import explore_interleavings, explore_with_state_hashing
+from repro.baselines.interleaving import explore_interleavings
+from repro.baselines.statehash import explore_with_state_hashing
 from repro.bench.workloads import ninc, sb_n
 from repro.lang import ProgramBuilder
 from repro.litmus import get_litmus

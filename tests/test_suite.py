@@ -170,6 +170,30 @@ class TestScheduling:
         run_suite(tasks[:2], jobs=2, cache=False, observer=observer)
         assert observer.metrics_snapshot()["counters"]
 
+    def test_inline_tasks_report_their_own_phases(self):
+        """A serial suite under one observer: each task's phase_times
+        cover that task alone, as a standalone verify reports them."""
+
+        def calls(result):
+            return {k: v["calls"] for k, v in result.phase_times.items()}
+
+        specs = [(sb_n(3), "tso"), (sb_n(2), "sc")]
+        suite = run_suite(
+            [program_task(p, m) for p, m in specs],
+            jobs=1,
+            cache=False,
+            observer=Observer(),
+        )
+        for (program, model), got in zip(specs, suite.tasks):
+            alone = verify(
+                program,
+                model,
+                stop_on_error=False,
+                jobs=1,
+                observer=Observer(),
+            )
+            assert calls(got.result) == calls(alone), got.task_id
+
 
 class TestFaultInjection:
     def test_crashed_worker_is_retried(self, tasks, tmp_path, monkeypatch):
