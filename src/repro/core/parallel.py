@@ -1,5 +1,5 @@
-"""Parallel subtree exploration: fault-tolerant work-sharding over a
-process pool.
+"""Parallel subtree exploration: fault-tolerant work-sharding over
+supervised worker processes.
 
 HMC's search is a pure function of the execution graph: once the DFS
 branches (over rf sources, co positions, or backward revisits), the
@@ -24,14 +24,14 @@ The engine has three phases:
    DFS from the prefix (``Explorer(root=...)``) with per-worker dedup
    and revisit-memoisation state, under a child observer built from
    the coordinator's :class:`~repro.obs.TaskContext`.  Dispatch is
-   supervised: every task is an
-   ``apply_async`` handle the coordinator polls, so a worker that
-   raises, is killed (SIGKILL), or hangs past
-   ``ExplorationOptions.task_timeout`` is detected, the task is
-   retried up to ``task_retries`` times, and a task that keeps failing
-   is re-explored *serially in the coordinator* — the run still
-   returns a complete, deterministic result instead of raising or
-   wedging.
+   supervised by :class:`PoolSupervisor`: each worker process owns
+   one pipe, so the coordinator knows which task every worker holds.
+   A worker that raises, is killed (SIGKILL), or hangs past
+   ``ExplorationOptions.task_timeout`` costs exactly its own task a
+   failure; the task is retried up to ``task_retries`` times, and a
+   task that keeps failing is re-explored *serially in the
+   coordinator* — the run still returns a complete, deterministic
+   result instead of raising or wedging.
 3. **Merge** — worker results are combined in deterministic task order
    with :meth:`VerificationResult.merge`.  Executions are reconciled by
    canonical key (a graph completed in two subtrees counts once, with
@@ -46,8 +46,9 @@ coordinator charges the split phase against a :class:`GlobalBudget`
 /explored units from the same budget, stopping early once it drains.
 ``truncated`` is set exactly when a limit actually bit somewhere.
 
-``stop_on_error`` is propagated by cancelling outstanding tasks as
-soon as any worker reports an assertion failure.
+``stop_on_error`` is propagated by cancelling outstanding tasks (and
+killing the workers running them) as soon as any worker reports an
+assertion failure.
 
 Determinism guarantee (see docs/PARALLEL.md): for exhaustive searches
 (no ``max_executions``/``max_explored``, deduplication on) the merged
@@ -61,14 +62,16 @@ sub-result.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import signal
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from ..graphs import ExecutionGraph
+from ..graphs.incremental import configure_from_env
 from ..lang import Program
 from ..models import MemoryModel, get_model
 from ..obs import NULL_OBSERVER, TaskContext
@@ -109,8 +112,13 @@ def _model_spec(model: MemoryModel) -> "str | MemoryModel":
 #: test-only fault injection hook (see ``_maybe_inject_fault``)
 FAULT_ENV = "REPRO_FAULT_INJECT"
 
-#: seconds between coordinator supervision polls
-_POLL_INTERVAL = 0.01
+#: the supervisor's fault accounting, reported in ``result.meta``
+FAULT_COUNTERS = (
+    "tasks_failed",
+    "tasks_retried",
+    "tasks_timeout",
+    "workers_lost",
+)
 
 
 class GlobalBudget:
@@ -122,9 +130,9 @@ class GlobalBudget:
     per worker.  ``limit_hit`` latches once a limit actually bites and
     doubles as the workers' early-stop signal.
 
-    The shared state must be created before the pool (workers receive
-    it through the pool initializer) and from the same multiprocessing
-    context.
+    The shared state must be created before the workers (they receive
+    it through the supervisor's initializer) and from the same
+    multiprocessing context.
     """
 
     def __init__(
@@ -214,6 +222,9 @@ def split_frontier(
     that completed before the target was reached), and whether the
     search aborted during splitting (stop-on-error or a search limit).
     """
+    # Explorer.run() re-reads the incremental mode flags per run;
+    # splitting drives _step directly, so it must do the same
+    configure_from_env()
     coordinator = Explorer(program, model, options, observer=observer)
     frontier: deque[ExecutionGraph] = deque(
         [ExecutionGraph(program.location_bases())]
@@ -245,8 +256,8 @@ def split_frontier(
 
 # -- worker side -----------------------------------------------------------
 
-#: the shared budget, installed per worker by the pool initializer
-#: (shared ctypes cannot ride along inside pickled task tuples)
+#: the shared budget, installed per worker by the supervisor's
+#: initializer (shared ctypes cannot ride along inside pickled tasks)
 _WORKER_BUDGET: GlobalBudget | None = None
 
 
@@ -255,10 +266,29 @@ def _init_worker(budget: GlobalBudget | None) -> None:
     _WORKER_BUDGET = budget
 
 
-def _pool_entry(fn, index: int, attempt: int, payload):
-    """What a pool worker runs for one supervised attempt."""
-    _maybe_inject_fault(index, attempt)
-    return fn(payload)
+def _worker_loop(conn, initializer, initargs: tuple) -> None:
+    """The body of one supervised worker process.
+
+    Receives ``(fn, index, attempt, payload)`` requests on its end of
+    the pipe, one at a time, and answers each with ``(True,
+    fn(payload))`` or ``(False, repr(error))``.  It exits when the
+    pipe closes; the supervisor normally kills it first.
+    """
+    if initializer is not None:
+        initializer(*initargs)
+    while True:
+        try:
+            fn, index, attempt, payload = conn.recv()
+        except EOFError:
+            return
+        try:
+            _maybe_inject_fault(index, attempt)
+            # pickling happens before any byte is written, so a value
+            # that cannot be sent still leaves the pipe clean for the
+            # error reply
+            conn.send((True, fn(payload)))
+        except Exception as exc:  # noqa: BLE001 - reported to the coordinator
+            conn.send((False, repr(exc)))
 
 
 def _maybe_inject_fault(index: int, attempt: int) -> None:
@@ -269,8 +299,8 @@ def _maybe_inject_fault(index: int, attempt: int) -> None:
     a comma-separated list of task indices (empty = any task); and
     ``marker`` is a path created *before* faulting so the fault fires
     only once — leave it empty to fault on every attempt (exercising
-    the serial-fallback path).  It fires only inside pool workers, so
-    the coordinator's in-process fallback never faults.  Used by the
+    the serial-fallback path).  It fires only inside worker processes,
+    so the coordinator's in-process fallback never faults.  Used by the
     fault-tolerance tests and the CI fault-injection smoke leg; ignored
     in normal operation.
     """
@@ -301,10 +331,10 @@ def run_task(
 ) -> tuple[int, int, VerificationResult, dict]:
     """Explore one task — a whole program or one subtree prefix.
 
-    Both engines run every task through here: pool workers for
+    Both engines run every task through here: supervised workers for
     dispatched tasks, and the coordinator in-process for serial
     fallbacks and ``run_suite``'s inline jobs.  ``budget`` is the
-    coordinator's :class:`GlobalBudget` for an in-process call; pool
+    coordinator's :class:`GlobalBudget` for an in-process call;
     workers use the one their initializer installed.  Returns ``(index,
     attempt, result, snapshot)``, where the snapshot is the child
     observer's, for the coordinator's ``Observer.absorb``.
@@ -337,54 +367,34 @@ def run_task(
 
 @dataclass
 class _TaskState:
-    """Coordinator-side bookkeeping for one supervised pool task."""
+    """Coordinator-side bookkeeping for one supervised task."""
 
-    index: int
-    #: attempts submitted so far (the next attempt number)
+    #: attempts dispatched so far (the next attempt number)
     attempts: int = 0
-    #: failures observed (exception, lost worker, timeout)
+    #: failures charged (exception, lost worker, timeout)
     failures: int = 0
-    #: live AsyncResult handles; more than one after a lost-worker
-    #: resubmission (first completion wins, stale handles are ignored)
-    handles: list = field(default_factory=list)
-    deadline: float | None = None
 
 
-def _live_pids(pool) -> "frozenset[int] | None":
-    """The pool's current worker pids (None when not introspectable)."""
-    procs = getattr(pool, "_pool", None)
-    if procs is None:
-        return None
-    try:
-        return frozenset(p.pid for p in procs if p.is_alive())
-    except Exception:  # pragma: no cover - defensive
-        return None
+class _Worker:
+    """One supervised worker process, the coordinator's end of its
+    pipe, and the task it holds (None while idle)."""
 
-
-def _settled_pids(pool, processes: int, wait: float = 1.0):
-    """Worker pids once the pool has replaced any dead workers (bounded
-    wait; a worker that keeps dying just yields the current set)."""
-    end = time.monotonic() + wait
-    while time.monotonic() < end:
-        pids = _live_pids(pool)
-        if pids is None:
-            return None
-        if len(pids) == processes:
-            return pids
-        time.sleep(0.005)
-    return _live_pids(pool)
+    def __init__(self, process, conn) -> None:
+        self.process = process
+        self.conn = conn
+        self.task: int | None = None
+        self.deadline = math.inf
 
 
 class PoolSupervisor:
-    """Reusable supervised process-pool engine: AsyncResult-based
-    dispatch with crash/hang detection, bounded retries, and a serial
-    fallback list.
+    """Supervised worker processes with crash/hang detection, bounded
+    retries, and a serial fallback list.
 
     Both the subtree-parallel explorer (:func:`verify_parallel`) and
     the batch suite engine (:mod:`repro.suite`) run their work through
     one of these, so the PR-3 fault semantics — timeout, retry, budget,
     graceful degradation — hold identically for a single sharded
-    verification and for an N-task suite sharing one pool.
+    verification and for an N-task suite sharing one set of workers.
 
     Work is described, not owned: callers pass a picklable worker
     function plus a mapping ``index -> payload factory``; the factory
@@ -394,30 +404,32 @@ class PoolSupervisor:
     True to stop dispatch (stop-on-error); the supervisor stores no
     results itself.
 
-    Every task is an ``apply_async`` handle polled by the coordinator,
-    so the three failure modes a bare pool is blind to become
-    recoverable events —
+    The supervisor starts up to ``processes`` workers itself, each
+    with one duplex pipe, so it always knows which task each worker
+    holds.  It hands a freed worker its next task before processing
+    the result that worker returned, and otherwise blocks in
+    :func:`multiprocessing.connection.wait` on the busy workers' pipes
+    and process sentinels until the nearest ``task_timeout`` deadline.
+    A failure costs exactly the task it hit:
 
-    * a worker that **raises** surfaces through ``AsyncResult.get`` and
-      the task is resubmitted;
-    * a worker that is **killed** (OOM, SIGKILL) is noticed via the
-      pool's worker pids changing; its task's result would never
-      arrive, so all outstanding tasks are resubmitted (they must be
-      pure — duplicates are ignored, first completion per index wins);
-    * a worker that **hangs** past ``task_timeout`` is detected by
-      deadline; the pool is torn down (the only way to reclaim the
-      wedged slot) and rebuilt, and the outstanding tasks resubmitted.
+    * a worker that **raises** replies with the error, and stays;
+    * a worker that **dies** (OOM, SIGKILL) closes its pipe and fires
+      its sentinel, and is replaced;
+    * a worker that **hangs** past ``task_timeout`` is killed and
+      replaced.
 
-    A task failing more than ``task_retries`` times lands on
+    The task is then retried; other in-flight tasks keep running.  A
+    task failing more than ``task_retries`` times lands on
     :attr:`fallback` for the caller to re-run serially in-process.
+    Workers share no lock with the coordinator, so stopping a run
+    (stop-on-error, an exception in the coordinator, :meth:`close`)
+    simply kills the busy ones.
 
-    With ``persistent=True`` the pool outlives :meth:`run`: workers
-    stay warm across calls (the verification service drives every job
-    through one such supervisor), per-run state (``acct``,
-    ``fallback``, ``stopped``) is reset at the start of each call, and
-    the caller owns the lifetime via :meth:`close`.  A run that stopped
-    early still rebuilds the pool — cancelled tasks keep running in
-    the workers and teardown is the only way to reclaim the slots.
+    With ``persistent=True`` the idle workers outlive :meth:`run`
+    (the verification service drives every job through one such
+    supervisor), per-run state (``acct``, ``fallback``, ``stopped``)
+    is reset at the start of each call, and the caller owns the
+    lifetime via :meth:`close`.
     """
 
     def __init__(
@@ -445,220 +457,196 @@ class PoolSupervisor:
         self.fallback: list[int] = []
         self.stopped = False
         self.cancelled = 0
-        self.acct = {
-            "tasks_failed": 0,
-            "tasks_retried": 0,
-            "tasks_timeout": 0,
-            "workers_lost": 0,
-        }
+        self.acct = dict.fromkeys(FAULT_COUNTERS, 0)
         self.states: dict[int, _TaskState] = {}
-        self.pool = None
-        self._known_pids = None
+        self._workers: list[_Worker] = []
         self._fn = None
         self._payloads: dict = {}
-        self._on_result = None
+        self._pending: deque[int] = deque()
+        self._outstanding: set[int] = set()
 
-    # -- pool lifecycle ---------------------------------------------------
+    # -- workers ----------------------------------------------------------
 
-    def _new_pool(self):
-        self.pool = self.ctx.Pool(
-            processes=self.processes,
-            initializer=self.initializer,
-            initargs=self.initargs,
+    def _start_worker(self) -> _Worker:
+        conn, child = self.ctx.Pipe()
+        process = self.ctx.Process(
+            target=_worker_loop,
+            args=(child, self.initializer, self.initargs),
+            daemon=True,
         )
-        self._known_pids = _settled_pids(self.pool, self.processes)
+        process.start()
+        child.close()
+        worker = _Worker(process, conn)
+        self._workers.append(worker)
+        return worker
 
-    def _teardown_pool(self) -> None:
-        if self.pool is not None:
-            self.pool.terminate()
-            self.pool.join()
-            self.pool = None
+    def _retire(self, worker: _Worker) -> None:
+        """Kill and reap one worker, busy, idle or already dead."""
+        self._workers.remove(worker)
+        worker.process.kill()
+        worker.process.join()
+        worker.process.close()
+        worker.conn.close()
 
-    # -- submission -------------------------------------------------------
-
-    def _submit(self, state: _TaskState) -> None:
-        attempt = state.attempts
-        payload = self._payloads[state.index](attempt)
-        state.handles.append(
-            self.pool.apply_async(
-                _pool_entry, (self._fn, state.index, attempt, payload)
-            )
-        )
-        state.attempts = attempt + 1
-        state.deadline = (
-            None
-            if self.task_timeout is None
-            else time.monotonic() + self.task_timeout
-        )
-
-    def _retry_or_fallback(self, state: _TaskState, outstanding: set) -> None:
-        """After a failure was charged: resubmit, or escalate to the
-        caller's serial fallback once retries are exhausted."""
-        if state.failures > self.task_retries:
-            outstanding.discard(state.index)
-            self.fallback.append(state.index)
-            return
-        self.acct["tasks_retried"] += 1
-        if self.obs.trace_enabled:
-            self.obs.emit(
-                "task_retried", task=state.index, attempt=state.attempts
-            )
-        self._submit(state)
+    def close(self) -> None:
+        """Kill every worker (persistent supervisors only need this)."""
+        for worker in list(self._workers):
+            self._retire(worker)
 
     # -- the supervision loop --------------------------------------------
 
     def run(self, fn, payloads: dict, on_result) -> None:
-        """Dispatch every payload through one pool and supervise it.
+        """Run every payload on the workers and supervise them.
 
         ``fn`` is the picklable worker entry point, called as
         ``fn(payloads[index](attempt))``; ``on_result(index, value)``
-        consumes each first-completed value and returns True to cancel
-        the remaining tasks.
+        consumes each completed value and returns True to cancel the
+        remaining tasks.
         """
         self._fn = fn
-        self._payloads = dict(payloads)
-        self._on_result = on_result
-        self.states = {i: _TaskState(index=i) for i in self._payloads}
+        self._payloads = payloads
+        self.states = {i: _TaskState() for i in payloads}
         self.fallback = []
         self.stopped = False
-        self.cancelled = 0
-        self.acct = {
-            "tasks_failed": 0,
-            "tasks_retried": 0,
-            "tasks_timeout": 0,
-            "workers_lost": 0,
-        }
-        outstanding = set(self.states)
-        if self.pool is None:
-            self._new_pool()
+        self.acct = dict.fromkeys(FAULT_COUNTERS, 0)
+        self._pending = deque(sorted(payloads))
+        self._outstanding = set(payloads)
         try:
-            for index in sorted(outstanding):
-                self._submit(self.states[index])
-            while outstanding and not self.stopped:
-                progressed = self._collect(outstanding)
-                if self.stopped or not outstanding:
-                    break
-                self._check_timeouts(outstanding)
-                self._check_workers(outstanding)
-                if not progressed:
-                    time.sleep(_POLL_INTERVAL)
+            while self._outstanding and not self.stopped:
+                self._dispatch()
+                for worker in self._ready():
+                    self._settle(worker, on_result)
+                    if self.stopped:
+                        break
+                if not self.stopped:
+                    self._expire()
         finally:
-            # stale duplicate attempts may still be running; never wait.
-            # A persistent pool survives a clean run, but a stopped run
-            # leaves cancelled tasks occupying worker slots — rebuild.
-            if not self.persistent or self.stopped:
-                self._teardown_pool()
-        self.cancelled = len(outstanding) if self.stopped else 0
+            # a busy worker now holds a cancelled task: kill it rather
+            # than wait for a result nobody reads
+            for worker in list(self._workers):
+                if worker.task is not None or not self.persistent:
+                    self._retire(worker)
+        self.cancelled = len(self._outstanding) if self.stopped else 0
         if self.stopped:
             self.fallback = []
 
-    def close(self) -> None:
-        """Tear the pool down (persistent supervisors only need this)."""
-        self._teardown_pool()
-
-    def _collect(self, outstanding: set) -> bool:
-        """Harvest ready handles; returns whether anything completed."""
-        progressed = False
-        for index in sorted(outstanding):
-            state = self.states[index]
-            done = next((h for h in state.handles if h.ready()), None)
-            if done is None:
-                continue
-            progressed = True
+    def _dispatch(self) -> None:
+        """Hand pending tasks to idle workers, starting workers (up to
+        ``processes``) while tasks are left over."""
+        idle = [w for w in self._workers if w.task is None]
+        while self._pending and (idle or len(self._workers) < self.processes):
+            worker = idle.pop() if idle else self._start_worker()
+            index = self._pending.popleft()
+            attempt = self.states[index].attempts
+            self.states[index].attempts += 1
+            payload = self._payloads[index](attempt)
             try:
-                value = done.get()
-            except BaseException as exc:
-                state.handles.remove(done)
-                state.failures += 1
+                worker.conn.send((self._fn, index, attempt, payload))
+            except OSError:
+                pass  # died while idle: its sentinel reports the loss
+            except Exception as exc:  # noqa: BLE001 - unpicklable request
+                # pickling precedes the write, so the worker is still
+                # idle and the failure is the task's
+                idle.append(worker)
                 self.acct["tasks_failed"] += 1
-                if self.obs.trace_enabled:
-                    self.obs.emit(
-                        "task_failed",
-                        task=index,
-                        reason="exception",
-                        error=repr(exc),
-                    )
-                self._retry_or_fallback(state, outstanding)
-                continue
-            outstanding.discard(index)
-            if self._on_result(index, value):
-                self.stopped = True
-                return True
-        return progressed
-
-    def _check_timeouts(self, outstanding: set) -> None:
-        """Kill and rebuild the pool when a task overruns its deadline
-        (a wedged worker can only be reclaimed by pool teardown)."""
-        now = time.monotonic()
-        timed_out = [
-            i
-            for i in sorted(outstanding)
-            if self.states[i].deadline is not None
-            and now >= self.states[i].deadline
-        ]
-        if not timed_out:
-            return
-        for index in timed_out:
-            state = self.states[index]
-            state.failures += 1
-            self.acct["tasks_timeout"] += 1
-            if self.obs.trace_enabled:
-                self.obs.emit(
-                    "task_timeout",
-                    task=index,
-                    attempt=state.attempts - 1,
-                    timeout=self.task_timeout,
+                self._charge(
+                    index, "task_failed", reason="exception", error=repr(exc)
                 )
-            if state.failures > self.task_retries:
-                outstanding.discard(index)
-                self.fallback.append(index)
-        # terminate() reclaims the hung slot but also kills the innocent
-        # in-flight attempts, so every outstanding task is resubmitted
-        # (without a failure charge for the innocents)
-        self._teardown_pool()
-        for index in outstanding:
-            self.states[index].handles.clear()
-        self._new_pool()
-        for index in sorted(outstanding):
-            state = self.states[index]
-            if index in timed_out:
-                self.acct["tasks_retried"] += 1
-                if self.obs.trace_enabled:
-                    self.obs.emit(
-                        "task_retried", task=index, attempt=state.attempts
-                    )
-            self._submit(state)
-
-    def _check_workers(self, outstanding: set) -> None:
-        """Detect killed workers via the pool's pid set changing.
-
-        The pool replaces a dead worker transparently but the task it
-        was running would never report back; which task that was is not
-        observable, so every outstanding task is charged one failure
-        and resubmitted (tasks must be pure — the duplicate attempt of
-        a task that was actually fine is harmless, its first completion
-        wins).
-        """
-        current = _live_pids(self.pool)
-        if current is None or self._known_pids is None:
-            return
-        if current == self._known_pids:
-            return
-        self.acct["workers_lost"] += max(
-            1, len(self._known_pids - current)
-        )
-        self.acct["tasks_failed"] += 1
-        if self.obs.trace_enabled:
-            self.obs.emit(
-                "task_failed",
-                reason="worker_lost",
-                outstanding=sorted(outstanding),
+                continue
+            worker.task = index
+            worker.deadline = (
+                math.inf
+                if self.task_timeout is None
+                else time.monotonic() + self.task_timeout
             )
-        for index in sorted(outstanding):
-            state = self.states[index]
-            state.failures += 1
-            self._retry_or_fallback(state, outstanding)
-        self._known_pids = _settled_pids(self.pool, self.processes)
+
+    def _ready(self) -> list[_Worker]:
+        """Block until busy workers reply or die, or the nearest
+        deadline passes; returns the workers that need settling."""
+        # imported on first use: it pulls in subprocess, which importing
+        # repro does not otherwise need
+        from multiprocessing.connection import wait
+
+        busy = [w for w in self._workers if w.task is not None]
+        if not busy:  # the last tasks could not be sent (see _dispatch)
+            return []
+        nearest = min(w.deadline for w in busy)
+        timeout = (
+            None
+            if nearest == math.inf
+            else max(0.0, nearest - time.monotonic())
+        )
+        ready = set(
+            wait(
+                [w.conn for w in busy] + [w.process.sentinel for w in busy],
+                timeout,
+            )
+        )
+        return [
+            w for w in busy if w.conn in ready or w.process.sentinel in ready
+        ]
+
+    def _settle(self, worker: _Worker, on_result) -> None:
+        """Take one ready worker's reply, or charge its task when the
+        worker died without one (possibly killed mid-send)."""
+        index = worker.task
+        try:
+            reply = worker.conn.recv() if worker.conn.poll() else None
+        except (EOFError, OSError):
+            reply = None
+        if reply is None:
+            self._retire(worker)
+            self.acct["workers_lost"] += 1
+            self.acct["tasks_failed"] += 1
+            self._charge(index, "task_failed", reason="worker_lost")
+            return
+        worker.task = None
+        # the freed worker starts its next task while this result is
+        # processed
+        self._dispatch()
+        ok, value = reply
+        if not ok:
+            self.acct["tasks_failed"] += 1
+            self._charge(index, "task_failed", reason="exception", error=value)
+            return
+        self._outstanding.discard(index)
+        self.stopped = bool(on_result(index, value))
+
+    def _expire(self) -> None:
+        """Kill each worker whose task overran its deadline, charging
+        that task alone."""
+        now = time.monotonic()
+        expired = [
+            w
+            for w in self._workers
+            if w.task is not None and w.deadline <= now
+        ]
+        for worker in expired:
+            index = worker.task
+            self._retire(worker)
+            self.acct["tasks_timeout"] += 1
+            self._charge(
+                index,
+                "task_timeout",
+                attempt=self.states[index].attempts - 1,
+                timeout=self.task_timeout,
+            )
+
+    def _charge(self, index: int, event: str, **fields) -> None:
+        """Charge task ``index`` one failure: queue a retry, or hand it
+        to the caller's serial fallback once its retries are spent."""
+        state = self.states[index]
+        state.failures += 1
+        if self.obs.trace_enabled:
+            self.obs.emit(event, task=index, **fields)
+        if state.failures > self.task_retries:
+            self._outstanding.discard(index)
+            self.fallback.append(index)
+            return
+        self.acct["tasks_retried"] += 1
+        if self.obs.trace_enabled:
+            self.obs.emit("task_retried", task=index, attempt=state.attempts)
+        self._pending.append(index)
 
 
 def verify_parallel(
@@ -807,12 +795,7 @@ def verify_parallel(
     acct = (
         supervisor.acct
         if supervisor is not None
-        else {
-            "tasks_failed": 0,
-            "tasks_retried": 0,
-            "tasks_timeout": 0,
-            "workers_lost": 0,
-        }
+        else dict.fromkeys(FAULT_COUNTERS, 0)
     )
     merged.meta.update(
         {

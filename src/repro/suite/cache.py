@@ -130,10 +130,12 @@ class ResultCache:
     """A flat directory of content-addressed suite task results.
 
     ``max_mb`` caps the directory's total size: after every
-    :meth:`store` the least-recently-written entries (LRU by file
-    mtime) are pruned until the cap holds again, so a long-lived
-    server cannot grow the cache without bound.  ``None`` defers to
-    ``REPRO_SUITE_CACHE_MAX_MB`` (unset = unlimited).
+    :meth:`store` the least-recently-written older entries (LRU by
+    file mtime) are pruned until the cap holds again, so a long-lived
+    server cannot grow the cache without bound.  The entry just
+    written always stays, even when it alone exceeds the cap.
+    ``None`` defers to ``REPRO_SUITE_CACHE_MAX_MB`` (unset =
+    unlimited).
     """
 
     def __init__(
@@ -221,15 +223,17 @@ class ResultCache:
                 except OSError:
                     pass
         if self.max_mb is not None:
-            self.prune()
+            self.prune(keep=path)
         return path
 
-    def prune(self, max_mb: float | None = None) -> int:
+    def prune(
+        self, max_mb: float | None = None, *, keep: str | None = None
+    ) -> int:
         """Evict least-recently-written entries until the directory is
-        within ``max_mb`` (defaults to the cache's cap); returns how
-        many entries were removed.  Concurrent pruners racing over the
-        same files are harmless — a vanished file just counts as
-        already pruned."""
+        within ``max_mb`` (defaults to the cache's cap), never the
+        entry at path ``keep``; returns how many entries were removed.
+        Concurrent pruners racing over the same files are harmless — a
+        vanished file just counts as already pruned."""
         cap = self.max_mb if max_mb is None else max_mb
         if cap is None:
             return 0
@@ -240,12 +244,13 @@ class ResultCache:
                 stat = os.stat(path)
             except OSError:
                 continue
-            entries.append((stat.st_mtime, stat.st_size, path))
-        total = sum(size for _, size, _ in entries)
+            entries.append((path == keep, stat.st_mtime, stat.st_size, path))
+        total = sum(size for _, _, size, _ in entries)
         budget = cap * 1024 * 1024
         removed = 0
-        for _, size, path in sorted(entries):
-            if total <= budget:
+        # the kept entry sorts last, so eviction stops when it is reached
+        for kept, _, size, path in sorted(entries):
+            if kept or total <= budget:
                 break
             try:
                 os.remove(path)

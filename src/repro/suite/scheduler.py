@@ -10,10 +10,12 @@ of spinning a pool up and down per verification the way N individual
   :class:`~repro.suite.cache.ResultCache`; hits are served without
   touching the pool (``--force`` recomputes, ``--rerun-failed``
   re-runs only tasks whose cached result has errors or truncation).
-* Cache misses are sized with the paper's Knuth-style exploration
-  estimator (:func:`~repro.core.estimate.estimate_explorations`) and
-  dispatched **longest-expected-first**, so a big task never starts
-  last and leaves the pool idling behind it.
+* With ``jobs > 1``, cache misses are sized with the paper's
+  Knuth-style exploration estimator
+  (:func:`~repro.core.estimate.estimate_explorations`) and dispatched
+  **longest-expected-first**, so a big task never starts last and
+  leaves the pool idling behind it.  A serial run skips the estimate
+  and runs its misses in the caller's order.
 * A task whose estimate crosses ``shard_threshold`` (and whose options
   permit it: no execution budget, deduplication on) is split into
   subtree shards via :func:`~repro.core.parallel.split_frontier`, the
@@ -161,7 +163,7 @@ class _Plan:
     pos: int  #: index into the caller's task list
     task: SuiteTask
     key: str
-    estimate: float = 0.0
+    estimate: float | None = None  #: expected executions (pool runs only)
     prefixes: list | None = None  #: subtree shards; None = run whole
     partial: VerificationResult | None = None  #: accumulated while splitting
     pieces: dict = field(default_factory=dict)  #: shard index -> result
@@ -242,6 +244,10 @@ def run_suite(
     pass its own persistent :class:`~repro.core.parallel.PoolSupervisor`
     so worker processes stay warm across suites; the caller owns its
     lifetime, and this run sets its timeout/retry knobs and observer.
+
+    ``shard_threshold``, ``estimate_walks`` and ``seed`` steer the
+    size estimate that orders and shards the cache misses, which only
+    a pooled run (``jobs > 1``) makes.
     """
     tasks = list(tasks)
     start = time.perf_counter()
@@ -347,40 +353,42 @@ def run_suite(
                 observed=verdict.observed if verdict is not None else None,
             )
 
-    # -- size and shard the misses ---------------------------------------
-    for plan in plans:
-        task = plan.task
-        plan.estimate = estimate_explorations(
-            task.program, task.model, walks=estimate_walks, seed=seed
-        ).mean
-        opts = task.options
-        shardable = (
-            jobs > 1
-            and plan.estimate >= shard_threshold
-            and opts.max_executions is None
-            and opts.max_explored is None
-            and opts.deduplicate is not False
-        )
-        if not shardable:
-            continue
-        split_options = replace(opts, collect_keys=True, jobs=None)
-        frontier, partial, aborted = split_frontier(
-            task.program,
-            task.model,
-            split_options,
-            target=jobs * opts.oversubscription,
-            observer=obs,
-        )
-        if aborted:
-            # a limit fired during splitting; run whole for parity with
-            # the serial semantics of that limit
-            continue
-        plan.partial = partial
-        plan.prefixes = frontier  # may be empty: split finished the search
+    # -- size, order and shard the misses (a pool only: longest-first
+    # order cannot change a serial total, and nothing shards serially)
+    if jobs > 1:
+        for plan in plans:
+            task = plan.task
+            plan.estimate = estimate_explorations(
+                task.program, task.model, walks=estimate_walks, seed=seed
+            ).mean
+            opts = task.options
+            shardable = (
+                plan.estimate >= shard_threshold
+                and opts.max_executions is None
+                and opts.max_explored is None
+                and opts.deduplicate is not False
+            )
+            if not shardable:
+                continue
+            split_options = replace(opts, collect_keys=True, jobs=None)
+            frontier, partial, aborted = split_frontier(
+                task.program,
+                task.model,
+                split_options,
+                target=jobs * opts.oversubscription,
+                observer=obs,
+            )
+            if aborted:
+                # a limit fired during splitting; run whole for parity
+                # with the serial semantics of that limit
+                continue
+            plan.partial = partial
+            plan.prefixes = frontier  # may be empty: split finished it
+        plans.sort(key=lambda p: -p.estimate)  # longest-expected-first
 
-    # -- build the pool job list, longest-expected-first ------------------
+    # -- build the job list ----------------------------------------------
     specs: dict[int, tuple] = {}  # job index -> (plan, shard, options, prefix)
-    for plan in sorted(plans, key=lambda p: -p.estimate):
+    for plan in plans:
         task = plan.task
         if tracer.enabled:
             # a detached span per scheduled task: lifetimes overlap (N
@@ -390,7 +398,9 @@ def run_suite(
                 f"suite:{task.id}",
                 cat="task",
                 kind=task.kind,
-                estimate=round(plan.estimate, 1),
+                estimate=(
+                    None if plan.estimate is None else round(plan.estimate, 1)
+                ),
             )
         if plan.prefixes is None:
             plan.remaining = 1

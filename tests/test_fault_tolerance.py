@@ -12,7 +12,11 @@ workers crash (SIGKILL themselves), hang, or raise — once (marker file)
 or on every attempt (no marker, exercising the serial-fallback path).
 """
 
+import multiprocessing
 import os
+import signal
+import threading
+import time
 
 import pytest
 
@@ -20,10 +24,12 @@ from repro.core import (
     ExplorationOptions,
     Explorer,
     GlobalBudget,
+    PoolSupervisor,
     VerificationResult,
     verify,
     verify_parallel,
 )
+from repro.core.parallel import FAULT_COUNTERS
 from repro.core.result import _merge_meta
 from repro.lang import ProgramBuilder
 from repro.litmus import get_litmus
@@ -345,6 +351,168 @@ class TestWorkerFaults:
                 jobs=2,
             )
             self.assert_matches_serial(result, serial, name)
+
+    def test_crash_is_charged_to_its_task_alone(self, inject):
+        """One SIGKILLed worker costs one retry, not one per task in
+        flight."""
+        program = sharded_program()
+        serial = serial_result(program)
+        inject("crash", tasks="0", once=True)
+        result = verify(program, "tso", stop_on_error=False, jobs=2)
+        self.assert_matches_serial(result, serial, "crash:0")
+        assert result.meta["workers_lost"] == 1
+        assert result.meta["tasks_retried"] == 1
+
+    def test_hang_is_charged_to_its_task_alone(self, inject):
+        program = sharded_program()
+        serial = serial_result(program)
+        inject("hang", tasks="0", once=True)
+        result = verify(
+            program, "tso", stop_on_error=False, jobs=2, task_timeout=1.0
+        )
+        self.assert_matches_serial(result, serial, "hang:0")
+        assert result.meta["tasks_timeout"] == 1
+        assert result.meta["tasks_retried"] == 1
+
+
+def _work(payload):
+    """A supervised test task: sleep, then return ``value`` — or crash,
+    raise, or return ``value`` zero bytes."""
+    delay, action, value = payload
+    time.sleep(delay)
+    if action == "crash":
+        os.kill(os.getpid(), signal.SIGKILL)
+    if action == "raise":
+        raise RuntimeError("injected")
+    if action == "bulk":
+        return bytes(value)
+    return value
+
+
+def _live_children() -> set:
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+def _run_bounded(supervisor, payloads, stop=lambda index: False):
+    """``supervisor.run`` on a thread, joined with a timeout; returns
+    the values it delivered and the seconds it took.  ``stop(index)``
+    is ``on_result``'s verdict."""
+    results = {}
+
+    def on_result(index, value):
+        results[index] = value
+        return stop(index)
+
+    thread = threading.Thread(
+        target=supervisor.run, args=(_work, payloads, on_result), daemon=True
+    )
+    start = time.monotonic()
+    thread.start()
+    thread.join(60)
+    assert not thread.is_alive(), "PoolSupervisor.run did not return"
+    return results, time.monotonic() - start
+
+
+def _task(delay, action, value):
+    return lambda attempt: (delay, action, value)
+
+
+class TestSupervisor:
+    """PoolSupervisor driven directly with module-level task functions."""
+
+    @pytest.mark.parametrize(
+        "fault, acct",
+        [
+            ("crash", {"tasks_failed": 1, "workers_lost": 1}),
+            ("raise", {"tasks_failed": 1}),
+            ("hang", {"tasks_timeout": 1}),
+        ],
+    )
+    def test_a_fault_costs_only_its_own_task(self, fault, acct):
+        """Task 0's first attempt fails while another task is in
+        flight on the other worker (1 s tasks; the hang is detected
+        mid-way through task 2): only task 0 is charged and run
+        again."""
+
+        def payload(index):
+            def make(attempt):
+                if index == 0 and attempt == 0:
+                    return (60, "ok", 0) if fault == "hang" else (0, fault, 0)
+                return (1.0, "ok", index)
+
+            return make
+
+        supervisor = PoolSupervisor(
+            multiprocessing.get_context(),
+            2,
+            task_timeout=1.6 if fault == "hang" else None,
+        )
+        results, _ = _run_bounded(
+            supervisor, {i: payload(i) for i in range(4)}
+        )
+        assert results == {i: i for i in range(4)}
+        assert supervisor.acct == {
+            **dict.fromkeys(FAULT_COUNTERS, 0),
+            "tasks_retried": 1,
+            **acct,
+        }
+        attempts = [supervisor.states[i].attempts for i in range(4)]
+        assert attempts == [2, 1, 1, 1]
+        assert supervisor.fallback == []
+
+    @pytest.mark.parametrize("others", [0, 1])
+    def test_unpicklable_task_falls_back(self, others):
+        """A request that cannot be pickled fails like a raising task:
+        retried, then handed to the caller's serial fallback."""
+        supervisor = PoolSupervisor(multiprocessing.get_context(), 2)
+        payloads = {0: _task(0, "ok", lambda: None)}
+        payloads.update({i: _task(0, "ok", i) for i in range(1, 1 + others)})
+        results, _ = _run_bounded(supervisor, payloads)
+        assert results == {i: i for i in range(1, 1 + others)}
+        assert supervisor.fallback == [0]
+        assert supervisor.acct["tasks_failed"] == 3
+        assert supervisor.acct["tasks_retried"] == 2
+
+    def test_stop_during_a_large_send_returns_promptly(self):
+        """A stop requested while another worker is blocked sending a
+        16 MB result kills that worker instead of waiting on it."""
+        before = _live_children()
+        supervisor = PoolSupervisor(multiprocessing.get_context(), 2)
+        payloads = {
+            0: _task(0, "ok", "first"),
+            # starts sending while the coordinator sits in on_result
+            1: _task(0.5, "bulk", 16 << 20),
+        }
+
+        def stop(index):
+            time.sleep(1.5)
+            return True
+
+        results, elapsed = _run_bounded(supervisor, payloads, stop)
+        assert elapsed < 20
+        assert results == {0: "first"}
+        assert supervisor.stopped and supervisor.cancelled == 1
+        assert _live_children() <= before
+
+    def test_persistent_supervisor_serves_the_next_run_after_a_stop(self):
+        before = _live_children()
+        supervisor = PoolSupervisor(
+            multiprocessing.get_context(), 2, persistent=True
+        )
+        try:
+            first = {0: _task(0, "ok", 0), 1: _task(60, "ok", 1)}
+            _, elapsed = _run_bounded(supervisor, first, lambda index: True)
+            assert elapsed < 30
+            assert supervisor.cancelled == 1
+            results, _ = _run_bounded(
+                supervisor, {i: _task(0, "ok", i) for i in range(6)}
+            )
+            assert results == {i: i for i in range(6)}
+            assert not supervisor.stopped and supervisor.cancelled == 0
+            assert supervisor.acct == dict.fromkeys(FAULT_COUNTERS, 0)
+        finally:
+            supervisor.close()
+        assert _live_children() <= before
 
 
 class TestCancellationAccounting:
