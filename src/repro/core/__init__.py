@@ -5,7 +5,6 @@ from .report import from_dict, from_json, to_dict, to_json
 from .estimate import Estimate, estimate_explorations
 from .explorer import Explorer, count_executions, effective_jobs, verify
 from .parallel import (
-    GlobalBudget,
     PoolSupervisor,
     split_frontier,
     verify_parallel,
@@ -26,7 +25,6 @@ __all__ = [
     "ExecutionRecord",
     "ExplorationOptions",
     "Explorer",
-    "GlobalBudget",
     "PoolSupervisor",
     "resolve_options",
     "Stats",

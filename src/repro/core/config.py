@@ -28,7 +28,7 @@ class ExplorationOptions:
     #: (disabling multiplies duplicates — ablation A1)
     maximality_check: bool = True
     #: deduplicate complete executions by canonical graph hashing;
-    #: None = automatic (off for porf-acyclic models, on otherwise)
+    #: None = automatic, which deduplicates under every model
     deduplicate: bool | None = None
     #: check model consistency after every event addition instead of
     #: only at completion (ablation A2)

@@ -53,7 +53,6 @@ class Explorer:
         options: ExplorationOptions | None = None,
         observer=NULL_OBSERVER,
         root: ExecutionGraph | None = None,
-        budget=None,
     ) -> None:
         self.program = program
         self.model = get_model(model) if isinstance(model, str) else model
@@ -62,10 +61,6 @@ class Explorer:
         #: resume point: explore only the subtree below this graph
         #: (parallel workers receive their subtree prefix here)
         self.root = root
-        #: shared cross-process budget (repro.core.parallel.GlobalBudget)
-        #: enforcing max_executions/max_explored over a *merged* parallel
-        #: run; None for serial runs, which use the local option limits
-        self._budget = budget
         #: cached so the hot path pays one attribute load, not a
         #: no-op context-manager / kwargs construction, when disabled
         self._timed = observer.enabled
@@ -200,11 +195,6 @@ class Explorer:
     ) -> list[ExecutionGraph]:
         self.result.stats.events_added += 1
         if len(graph) >= self.options.max_events:
-            raise _SearchLimit
-        if self._budget is not None and self._budget.limit_hit:
-            # another worker drained the shared budget: stop mid-subtree
-            # instead of exploring graphs whose completions can no
-            # longer be recorded
             raise _SearchLimit
         if self.obs.trace_enabled:
             self.obs.emit(
@@ -387,8 +377,6 @@ class Explorer:
         ):
             key = canonical_key(graph)
             if key in self._seen:
-                if self._budget is not None and not self._budget.take_explored():
-                    raise _SearchLimit
                 self.result.duplicates += 1
                 if self._timed:
                     if self.obs.trace_enabled:
@@ -399,10 +387,6 @@ class Explorer:
                     )
                 return
             self._seen.add(key)
-        if self._budget is not None and not (
-            self._budget.take_execution() and self._budget.take_explored()
-        ):
-            raise _SearchLimit  # global budget drained; don't record
         self.result.executions += 1
         if self._timed:
             self.obs.observe("graph_events", len(graph))
@@ -432,8 +416,6 @@ class Explorer:
             self.options.max_explored is not None
             and self.result.explored >= self.options.max_explored
         ):
-            raise _SearchLimit
-        if self._budget is not None and self._budget.limit_hit:
             raise _SearchLimit
 
     def _record_blocked(self) -> None:
@@ -502,21 +484,17 @@ def verify(
     With ``jobs=N`` (N > 1, or 0 for one worker per CPU) the search is
     sharded over a process pool (see :mod:`repro.core.parallel`);
     exhaustive parallel runs report the same ``executions``/``blocked``
-    /``outcomes`` as serial ones.  Runs bounded by ``max_executions``
-    or ``max_explored`` shard too: the workers share one global budget,
-    so the merged result never exceeds the limit (which executions fill
-    the budget depends on worker scheduling, unlike the serial run's
-    DFS-order prefix).
+    /``outcomes`` as serial ones.  A search that is not
+    :func:`~repro.core.parallel.shardable` — one bounded by
+    ``max_executions`` or ``max_explored``, or with deduplication off —
+    runs serially whatever ``jobs`` is, so a bounded run always returns
+    the serial DFS-order prefix.
     """
     options = resolve_options(options, option_overrides)
-    if (
-        effective_jobs(options) > 1
-        # the merge reconciles by canonical key, so a run that
-        # explicitly disabled deduplication must stay serial
-        and options.deduplicate is not False
-    ):
-        from .parallel import verify_parallel
+    # imported here: repro.core.parallel builds on this module
+    from .parallel import shardable, verify_parallel
 
+    if effective_jobs(options) > 1 and shardable(options):
         result = verify_parallel(program, model, options, observer=observer)
         if not options.collect_keys:
             # the records existed for merge reconciliation; strip them

@@ -40,24 +40,22 @@ The engine has three phases:
    into the coordinator's observer with ``Observer.absorb`` as the
    task completes, so ``repro trace-summary`` still reconciles.
 
-``max_executions``/``max_explored`` hold for the **merged** result: the
-coordinator charges the split phase against a :class:`GlobalBudget`
-(shared ``multiprocessing`` counters) and every worker draws execution
-/explored units from the same budget, stopping early once it drains.
-``truncated`` is set exactly when a limit actually bit somewhere.
+Only a search :func:`shardable` under its options is split.  A search
+bounded by ``max_executions``/``max_explored`` is defined by its
+DFS-order prefix, which only the serial explorer produces, so it runs
+serially whatever ``jobs`` is.
 
 ``stop_on_error`` is propagated by cancelling outstanding tasks (and
 killing the workers running them) as soon as any worker reports an
 assertion failure.
 
-Determinism guarantee (see docs/PARALLEL.md): for exhaustive searches
-(no ``max_executions``/``max_explored``, deduplication on) the merged
-``executions``, ``outcomes`` and ``final_states`` are identical to the
-serial run's, because the subtree prefixes partition the serial DFS
-tree and completions are deduplicated by the same canonical key serial
-exploration uses.  Retries and serial fallback preserve this: subtree
-tasks are pure functions, so re-running one yields the identical
-sub-result.
+Determinism guarantee (see docs/PARALLEL.md): for shardable searches
+the merged ``executions``, ``outcomes`` and ``final_states`` are
+identical to the serial run's, because the subtree prefixes partition
+the serial DFS tree and completions are deduplicated by the same
+canonical key serial exploration uses.  Retries and serial fallback
+preserve this: subtree tasks are pure functions, so re-running one
+yields the identical sub-result.
 """
 
 from __future__ import annotations
@@ -121,88 +119,17 @@ FAULT_COUNTERS = (
 )
 
 
-class GlobalBudget:
-    """Cross-process ``max_executions``/``max_explored`` budget.
-
-    Workers (and the coordinator's serial-fallback explorer) draw units
-    from shared counters before recording an execution or a duplicate,
-    so the limits hold for the *merged* result instead of being applied
-    per worker.  ``limit_hit`` latches once a limit actually bites and
-    doubles as the workers' early-stop signal.
-
-    The shared state must be created before the workers (they receive
-    it through the supervisor's initializer) and from the same
-    multiprocessing context.
-    """
-
-    def __init__(
-        self,
-        max_executions: int | None = None,
-        max_explored: int | None = None,
-        executions_used: int = 0,
-        explored_used: int = 0,
-        ctx=None,
-    ) -> None:
-        ctx = ctx if ctx is not None else multiprocessing.get_context()
-        self.max_executions = max_executions
-        self.max_explored = max_explored
-        self._lock = ctx.Lock()
-        self._executions = (
-            None
-            if max_executions is None
-            else ctx.Value("q", executions_used, lock=False)
-        )
-        self._explored = (
-            None
-            if max_explored is None
-            else ctx.Value("q", explored_used, lock=False)
-        )
-        hit = (
-            max_executions is not None and executions_used >= max_executions
-        ) or (max_explored is not None and explored_used >= max_explored)
-        self._limit_hit = ctx.Value("b", int(hit), lock=False)
-
-    @property
-    def limit_hit(self) -> bool:
-        """A limit has bitten somewhere (lock-free read)."""
-        return bool(self._limit_hit.value)
-
-    def take_execution(self) -> bool:
-        """Draw one execution unit; False when the budget is drained."""
-        if self._executions is None:
-            return True
-        with self._lock:
-            n = self._executions.value
-            if n >= self.max_executions:
-                self._limit_hit.value = 1
-                return False
-            self._executions.value = n + 1
-            if n + 1 >= self.max_executions:
-                self._limit_hit.value = 1
-            return True
-
-    def take_explored(self) -> bool:
-        """Draw one explored-graph unit; False when drained."""
-        if self._explored is None:
-            return True
-        with self._lock:
-            n = self._explored.value
-            if n >= self.max_explored:
-                self._limit_hit.value = 1
-                return False
-            self._explored.value = n + 1
-            if n + 1 >= self.max_explored:
-                self._limit_hit.value = 1
-            return True
-
-    def snapshot(self) -> dict:
-        """Current consumption, for ``result.meta`` accounting."""
-        out: dict = {}
-        if self._executions is not None:
-            out["budget_executions"] = self._executions.value
-        if self._explored is not None:
-            out["budget_explored"] = self._explored.value
-        return out
+def shardable(options: ExplorationOptions) -> bool:
+    """Whether a search under ``options`` may be split into subtree
+    tasks: it is exhaustive (a bounded search is defined by its serial
+    DFS-order prefix) and deduplicates (the merge reconciles subtree
+    results by canonical key, which would collapse the duplicates a
+    non-dedup run counts)."""
+    return (
+        options.max_executions is None
+        and options.max_explored is None
+        and options.deduplicate is not False
+    )
 
 
 def split_frontier(
@@ -256,17 +183,7 @@ def split_frontier(
 
 # -- worker side -----------------------------------------------------------
 
-#: the shared budget, installed per worker by the supervisor's
-#: initializer (shared ctypes cannot ride along inside pickled tasks)
-_WORKER_BUDGET: GlobalBudget | None = None
-
-
-def _init_worker(budget: GlobalBudget | None) -> None:
-    global _WORKER_BUDGET
-    _WORKER_BUDGET = budget
-
-
-def _worker_loop(conn, initializer, initargs: tuple) -> None:
+def _worker_loop(conn) -> None:
     """The body of one supervised worker process.
 
     Receives ``(fn, index, attempt, payload)`` requests on its end of
@@ -274,8 +191,6 @@ def _worker_loop(conn, initializer, initargs: tuple) -> None:
     fn(payload))`` or ``(False, repr(error))``.  It exits when the
     pipe closes; the supervisor normally kills it first.
     """
-    if initializer is not None:
-        initializer(*initargs)
     while True:
         try:
             fn, index, attempt, payload = conn.recv()
@@ -326,16 +241,12 @@ def _maybe_inject_fault(index: int, attempt: int) -> None:
         raise RuntimeError(f"injected fault in task {index}")
 
 
-def run_task(
-    task: Task, budget: GlobalBudget | None = None
-) -> tuple[int, int, VerificationResult, dict]:
+def run_task(task: Task) -> tuple[int, int, VerificationResult, dict]:
     """Explore one task — a whole program or one subtree prefix.
 
     Both engines run every task through here: supervised workers for
     dispatched tasks, and the coordinator in-process for serial
-    fallbacks and ``run_suite``'s inline jobs.  ``budget`` is the
-    coordinator's :class:`GlobalBudget` for an in-process call;
-    workers use the one their initializer installed.  Returns ``(index,
+    fallbacks and ``run_suite``'s inline jobs.  Returns ``(index,
     attempt, result, snapshot)``, where the snapshot is the child
     observer's, for the coordinator's ``Observer.absorb``.
     """
@@ -350,12 +261,7 @@ def run_task(
             attempt=attempt,
         ):
             result = Explorer(
-                program,
-                model_spec,
-                options,
-                observer=observer,
-                root=prefix,
-                budget=budget if budget is not None else _WORKER_BUDGET,
+                program, model_spec, options, observer=observer, root=prefix
             ).run()
     finally:
         observer.close()
@@ -392,8 +298,8 @@ class PoolSupervisor:
 
     Both the subtree-parallel explorer (:func:`verify_parallel`) and
     the batch suite engine (:mod:`repro.suite`) run their work through
-    one of these, so the PR-3 fault semantics — timeout, retry, budget,
-    graceful degradation — hold identically for a single sharded
+    one of these, so the fault semantics — timeout, retry, graceful
+    degradation — hold identically for a single sharded
     verification and for an N-task suite sharing one set of workers.
 
     Work is described, not owned: callers pass a picklable worker
@@ -439,8 +345,6 @@ class PoolSupervisor:
         *,
         task_timeout: float | None = None,
         task_retries: int = 2,
-        initializer=None,
-        initargs: tuple = (),
         observer=NULL_OBSERVER,
         persistent: bool = False,
     ) -> None:
@@ -448,8 +352,6 @@ class PoolSupervisor:
         self.processes = processes
         self.task_timeout = task_timeout
         self.task_retries = task_retries
-        self.initializer = initializer
-        self.initargs = initargs
         self.obs = observer
         self.persistent = persistent
         #: task indices whose retries were exhausted (caller re-runs
@@ -470,9 +372,7 @@ class PoolSupervisor:
     def _start_worker(self) -> _Worker:
         conn, child = self.ctx.Pipe()
         process = self.ctx.Process(
-            target=_worker_loop,
-            args=(child, self.initializer, self.initargs),
-            daemon=True,
+            target=_worker_loop, args=(child,), daemon=True
         )
         process.start()
         child.close()
@@ -660,17 +560,17 @@ def verify_parallel(
 
     ``jobs`` defaults to the resolution of ``options.jobs`` /
     ``REPRO_JOBS`` (0 means one worker per CPU).  Falls back to the
-    serial explorer when only one job is requested.
+    serial explorer when only one job is requested or the search is
+    not :func:`shardable`.
 
     Fault tolerance (see docs/PARALLEL.md): crashed, killed or hung
     workers are detected, their tasks retried up to
     ``options.task_retries`` times and finally re-explored serially in
     the coordinator, so the merged result is complete even under
-    worker faults.  ``max_executions``/``max_explored`` are enforced
-    globally through a shared :class:`GlobalBudget`.  The returned
-    result keeps its ``execution_records`` (it is ``keyed``) so it can
-    be merged again safely; the public :func:`repro.core.verify` entry
-    point strips them at the API boundary.
+    worker faults.  The returned result keeps its
+    ``execution_records`` (it is ``keyed``) so it can be merged again
+    safely; the public :func:`repro.core.verify` entry point strips
+    them at the API boundary.
     """
     options = options or ExplorationOptions()
     model = get_model(model) if isinstance(model, str) else model
@@ -678,7 +578,7 @@ def verify_parallel(
         jobs = effective_jobs(options)
     elif jobs == 0:
         jobs = os.cpu_count() or 1
-    if jobs <= 1:
+    if jobs <= 1 or not shardable(options):
         return Explorer(program, model, options, observer=observer).run()
     start = time.perf_counter()
     obs = observer
@@ -697,23 +597,6 @@ def verify_parallel(
     frontier, merged, aborted = split_frontier(
         program, model, split_options, target, observer=obs
     )
-    ctx = multiprocessing.get_context()
-    budget = None
-    if options.max_executions is not None or options.max_explored is not None:
-        # charge what the split phase already consumed; workers share
-        # the remainder
-        budget = GlobalBudget(
-            options.max_executions,
-            options.max_explored,
-            executions_used=merged.executions,
-            explored_used=merged.explored,
-            ctx=ctx,
-        )
-    # workers draw from the global budget instead of each applying the
-    # whole limit locally (the PR-2 engine overshot by tasks × limit)
-    worker_options = replace(
-        split_options, max_executions=None, max_explored=None
-    )
     supervisor = None
     cancelled = 0
     worker_results: dict[int, VerificationResult] = {}
@@ -721,12 +604,10 @@ def verify_parallel(
         if obs.trace_enabled:
             obs.emit("parallel_dispatch", tasks=len(frontier), jobs=jobs)
         supervisor = PoolSupervisor(
-            ctx,
+            multiprocessing.get_context(),
             processes=min(jobs, len(frontier)),
             task_timeout=options.task_timeout,
             task_retries=options.task_retries,
-            initializer=_init_worker,
-            initargs=(budget,),
             observer=obs,
         )
         model_spec = _model_spec(model)
@@ -739,7 +620,7 @@ def verify_parallel(
                     attempt,
                     program,
                     model_spec,
-                    worker_options,
+                    split_options,
                     frontier[index],
                     telemetry,
                 )
@@ -765,7 +646,7 @@ def verify_parallel(
             if obs.trace_enabled:
                 obs.emit("task_fallback", task=index)
             attempt = supervisor.states[index].attempts
-            value = run_task(_payload(index)(attempt), budget)
+            value = run_task(_payload(index)(attempt))
             if _on_result(index, value):
                 cancelled += len(supervisor.fallback) - position - 1
                 break
@@ -787,11 +668,7 @@ def verify_parallel(
                     elapsed=round(sub.elapsed, 6),
                 )
     merged.elapsed = time.perf_counter() - start
-    merged.truncated = (
-        merged.truncated
-        or cancelled > 0
-        or (budget is not None and budget.limit_hit)
-    )
+    merged.truncated = merged.truncated or cancelled > 0
     acct = (
         supervisor.acct
         if supervisor is not None
@@ -811,8 +688,6 @@ def verify_parallel(
             **acct,
         }
     )
-    if budget is not None:
-        merged.meta.update(budget.snapshot())
     if obs.enabled:
         merged.phase_times = merge_phase_times(
             merged.phase_times, obs.phase_report()

@@ -25,6 +25,7 @@ coordinator's own process.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 from .metrics import MetricsRegistry
@@ -208,6 +209,7 @@ class Observer(NullObserver):
         ``trace_start`` is dropped, so the trace keeps one header).  A
         file cut off mid-record contributes its valid prefix plus a
         ``trace_truncated`` marker; a missing file contributes nothing.
+        A folded file is removed: its records now live in this trace.
         """
         self.metrics.merge_snapshot(snapshot)
         self.tracer.absorb(snapshot.get("spans"))
@@ -227,6 +229,10 @@ class Observer(NullObserver):
             self.emit(type_, worker=worker, **record)
         if truncated:
             self.emit("trace_truncated", worker=worker, kept=len(records))
+        try:
+            os.remove(path)
+        except OSError:
+            pass
 
     def records(self) -> list[dict]:
         """The buffered records, when tracing to a MemorySink."""

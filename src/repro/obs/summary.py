@@ -34,8 +34,9 @@ class TraceSummary:
     revisits_considered: int = 0
     revisits_performed: int = 0
     revisits_rejected: dict[str, int] = field(default_factory=dict)
-    #: parallel fault-model accounting (see docs/PARALLEL.md): subtree
-    #: tasks dispatched to the pool and what happened to them
+    #: parallel fault-model accounting (see docs/PARALLEL.md): tasks
+    #: dispatched to the pool (subtree shards of ``verify(jobs=N)`` and
+    #: ``run_suite`` jobs) and what happened to them
     tasks_dispatched: int = 0
     tasks_failed: int = 0
     tasks_retried: int = 0
@@ -123,7 +124,7 @@ def summarize_records(records: Iterable[dict]) -> TraceSummary:
             s.duplicates += 1
         elif t == "error":
             s.errors += 1
-        elif t == "parallel_dispatch":
+        elif t in ("parallel_dispatch", "suite_dispatch"):
             s.tasks_dispatched += rec.get("tasks", 0)
         elif t == "task_failed":
             s.tasks_failed += 1

@@ -17,7 +17,7 @@ of spinning a pool up and down per verification the way N individual
   leaves the pool idling behind it.  A serial run skips the estimate
   and runs its misses in the caller's order.
 * A task whose estimate crosses ``shard_threshold`` (and whose options
-  permit it: no execution budget, deduplication on) is split into
+  are :func:`~repro.core.parallel.shardable`) is split into
   subtree shards via :func:`~repro.core.parallel.split_frontier`, the
   same mechanism ``verify(jobs=N)`` uses; small tasks run whole, one
   task per worker.  All shards and whole tasks share the same pool and
@@ -45,6 +45,7 @@ from ..core.parallel import (
     PoolSupervisor,
     _model_spec,
     run_task,
+    shardable,
     split_frontier,
 )
 from ..core.report import from_dict
@@ -361,26 +362,19 @@ def run_suite(
             plan.estimate = estimate_explorations(
                 task.program, task.model, walks=estimate_walks, seed=seed
             ).mean
-            opts = task.options
-            shardable = (
-                plan.estimate >= shard_threshold
-                and opts.max_executions is None
-                and opts.max_explored is None
-                and opts.deduplicate is not False
-            )
-            if not shardable:
+            if plan.estimate < shard_threshold or not shardable(task.options):
                 continue
-            split_options = replace(opts, collect_keys=True, jobs=None)
+            split_options = replace(task.options, collect_keys=True, jobs=None)
             frontier, partial, aborted = split_frontier(
                 task.program,
                 task.model,
                 split_options,
-                target=jobs * opts.oversubscription,
+                target=jobs * task.options.oversubscription,
                 observer=obs,
             )
             if aborted:
-                # a limit fired during splitting; run whole for parity
-                # with the serial semantics of that limit
+                # stop-on-error or max_events fired during splitting;
+                # run whole for parity with the serial run
                 continue
             plan.partial = partial
             plan.prefixes = frontier  # may be empty: split finished it
@@ -474,6 +468,8 @@ def run_suite(
         acct = dict(supervisor.acct)
         acct["tasks_fallback"] = len(supervisor.fallback)
         for job in supervisor.fallback:
+            if obs.trace_enabled:
+                obs.emit("task_fallback", task=job)
             attempt = supervisor.states[job].attempts
             _complete(job, run_task(_payload(job)(attempt)))
     else:

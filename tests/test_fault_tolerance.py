@@ -1,7 +1,7 @@
 """Fault-tolerance and budget-correctness tests for the parallel engine.
 
-Covers the PR-3 fault model (docs/PARALLEL.md): global
-``max_executions``/``max_explored`` budgets shared across workers,
+Covers the fault model (docs/PARALLEL.md): bounded
+``max_executions``/``max_explored`` runs that never overshoot,
 crash/hang/exception injection with bounded retry and serial fallback,
 merge-layer bugfixes (boolean meta, keyed/unkeyed mixing), and
 truncated-worker-trace folding.
@@ -23,7 +23,6 @@ import pytest
 from repro.core import (
     ExplorationOptions,
     Explorer,
-    GlobalBudget,
     PoolSupervisor,
     VerificationResult,
     verify,
@@ -179,29 +178,12 @@ class TestTruncatedTraces:
         assert [r["t"] for r in obs.records()] == ["trace_start"]
 
 
-# -- tentpole: global budgets ----------------------------------------------
+# -- bounded runs ----------------------------------------------------------
 
 
 class TestGlobalBudget:
-    def test_take_execution_drains(self):
-        budget = GlobalBudget(max_executions=2)
-        assert budget.take_execution()
-        assert not budget.limit_hit
-        assert budget.take_execution()  # the Nth take succeeds...
-        assert budget.limit_hit  # ...and latches the limit
-        assert not budget.take_execution()
-
-    def test_preconsumed_budget(self):
-        budget = GlobalBudget(max_executions=3, executions_used=3)
-        assert budget.limit_hit
-        assert not budget.take_execution()
-
-    def test_unlimited_dimension_free(self):
-        budget = GlobalBudget(max_explored=1)
-        assert budget.take_execution()  # no execution limit set
-        assert budget.take_explored()
-        assert not budget.take_explored()
-        assert budget.limit_hit
+    """A bounded ``verify_parallel`` run is not shardable, so it runs
+    serially and its limits hold exactly as they do for a serial run."""
 
     def test_parallel_run_never_exceeds_budget(self):
         program = sharded_program()
@@ -240,15 +222,6 @@ class TestGlobalBudget:
         )
         assert result.explored <= 4
         assert result.truncated
-
-    def test_budget_consumption_reported(self):
-        result = verify_parallel(
-            sharded_program(),
-            "tso",
-            ExplorationOptions(stop_on_error=False, max_executions=3),
-            jobs=2,
-        )
-        assert result.meta["budget_executions"] <= 3
 
 
 # -- tentpole: worker supervision ------------------------------------------

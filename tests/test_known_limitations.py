@@ -1,7 +1,7 @@
 """Known, documented limitations — pinned so any change in behaviour
-is noticed.
+is noticed.  There are two.
 
-The single known completeness gap: under *porf-cyclic* models, an
+The completeness gap: under *porf-cyclic* models, an
 execution that requires a CAS to flip between success and failure
 while its thread's po-suffix is causally needed by the revisiting
 write cannot be produced by single-read backward revisits (the kept
@@ -15,13 +15,24 @@ executions in ~2/280 random RMW-heavy programs under POWER and
 coherence-only (whose axioms are weak enough to admit those chains).
 The gap is *completeness-only*: no spurious executions are ever
 produced.
+
+The trace drift under ``jobs > 1``: a pooled task returns its trace
+records only through a file (``<trace>.worker<i>``, see
+docs/OBSERVABILITY.md), so a coordinator tracing to any other sink —
+``Observer.in_memory()``, or a ``hmc serve --jobs 2`` job's event feed
+— receives no worker's exploration records (``run_start``,
+``rf_branch``, ``graph_complete``, ...), and its trace summary
+undercounts.  Counters, histograms, spans and the result itself are
+unaffected.
 """
 
 import pytest
 
-from repro import verify
+from repro import Observer, verify
 from repro.baselines.exhaustive import brute_force
+from repro.bench.workloads import FAMILIES
 from repro.graphs import canonical_key
+from repro.obs import summarize_records
 from repro.util.randprog import RandomProgramGenerator
 
 
@@ -98,3 +109,18 @@ def test_power_gap_is_completeness_only():
     )
     keys = {canonical_key(g) for g in result.execution_graphs}
     assert keys <= bf.keys
+
+
+@pytest.mark.xfail(
+    reason="known drift: pooled tasks return trace records only to a "
+    "file sink (see module docstring)",
+    strict=True,
+)
+def test_pooled_trace_records_reach_a_memory_sink():
+    program = FAMILIES["sb"](3)
+    counts = []
+    for jobs in (1, 2):
+        observer = Observer.in_memory()
+        verify(program, "tso", jobs=jobs, observer=observer)
+        counts.append(summarize_records(observer.records()).executions)
+    assert counts == [8, 8]

@@ -17,7 +17,7 @@ from repro.core import (
     verify,
     verify_parallel,
 )
-from repro.bench.workloads import fib_bench
+from repro.bench.workloads import FAMILIES, fib_bench
 from repro.core.result import ExecutionRecord, Stats
 from repro.lang import ProgramBuilder
 from repro.litmus import MODELS, all_litmus_tests
@@ -227,13 +227,13 @@ class TestSplitFrontier:
 
 class TestParallelEquivalence:
     def test_dispatch_guard(self, monkeypatch):
-        """verify() shards deduplicated runs — bounded ones included
-        (a GlobalBudget holds the limit globally) — but a run that
-        explicitly disabled deduplication stays serial."""
+        """verify() shards exhaustive deduplicated runs only: a bounded
+        run and a run that explicitly disabled deduplication stay
+        serial."""
         monkeypatch.delenv("REPRO_JOBS", raising=False)
         bounded = verify(sb(), "tso", jobs=2, max_executions=2)
-        assert bounded.meta.get("jobs") == 2  # sharded, budget enforced
-        assert bounded.executions <= 2 and bounded.truncated
+        assert "jobs" not in bounded.meta  # stayed serial
+        assert bounded.executions == 2 and bounded.truncated
         no_dedup = verify(
             sb(), "tso", jobs=2, stop_on_error=False, deduplicate=False
         )
@@ -272,6 +272,31 @@ class TestParallelEquivalence:
         serial = serial_result(sb(), "sc")
         assert result.executions == serial.executions
         assert "jobs" not in result.meta
+
+
+class TestBoundedRuns:
+    """A search bounded by ``max_executions`` is its serial DFS-order
+    prefix, so ``jobs`` must not change which executions it returns."""
+
+    @pytest.mark.parametrize(
+        "family,n,model",
+        [("sb", 3, "tso"), ("fib", 2, "sc"), ("ainc", 3, "imm")],
+    )
+    def test_bounded_run_is_the_serial_prefix(self, family, n, model):
+        program = FAMILIES[family](n)
+        total = verify(program, model, stop_on_error=False, jobs=1).executions
+        for k in range(1, total):
+            serial = verify(
+                program, model, stop_on_error=False, max_executions=k, jobs=1
+            )
+            bounded = verify(
+                program, model, stop_on_error=False, max_executions=k, jobs=2
+            )
+            assert bounded.executions == serial.executions == k, k
+            assert bounded.outcomes == serial.outcomes, k
+            assert bounded.final_states == serial.final_states, k
+            assert bounded.truncated == serial.truncated, k
+            assert "jobs" not in bounded.meta, k
 
 
 class TestWorkerMetricsMerge:
@@ -394,6 +419,57 @@ class TestWorkerMetricsMerge:
         obs.close()
         assert (fallbacks >= 1) == (mode == "fallback")
         assert self.fold_view(path, obs, results) == expected
+
+    def traced_run(self, engine, path):
+        """Run the engine's tasks with ``jobs=2`` under a file trace;
+        returns (tasks dispatched to the pool, tasks that fell back)."""
+        from repro.obs import Observer
+        from repro.suite import program_task, run_suite
+
+        tasks = self.FOLD_TASKS[engine]
+        obs = Observer.to_file(path)
+        if engine == "verify":
+            [(program, model)] = tasks
+            result = verify_parallel(
+                program,
+                model,
+                ExplorationOptions(stop_on_error=False),
+                observer=obs,
+                jobs=2,
+            )
+            counts = result.meta["tasks"], result.meta["tasks_fallback"]
+        else:
+            suite = run_suite(
+                [program_task(p, m) for p, m in tasks],
+                jobs=2,
+                cache=False,
+                observer=obs,
+            )
+            counts = suite.pool_tasks, suite.acct["tasks_fallback"]
+        obs.close()
+        return counts
+
+    @pytest.mark.parametrize("engine", ["verify", "run_suite"])
+    def test_dispatch_and_fallback_reach_the_trace(
+        self, engine, tmp_path, monkeypatch
+    ):
+        from repro.obs import summarize_file
+
+        monkeypatch.setenv("REPRO_FAULT_INJECT", "raise:0")
+        path = str(tmp_path / "run.jsonl")
+        dispatched, fallback = self.traced_run(engine, path)
+        assert dispatched > 0 and fallback == 1
+        summary = summarize_file(path)
+        assert summary.tasks_dispatched == dispatched
+        assert summary.tasks_fallback == fallback
+
+    @pytest.mark.parametrize("engine", ["verify", "run_suite"])
+    def test_folded_worker_traces_are_removed(
+        self, engine, tmp_path, monkeypatch
+    ):
+        monkeypatch.delenv("REPRO_FAULT_INJECT", raising=False)
+        self.traced_run(engine, str(tmp_path / "run.jsonl"))
+        assert os.listdir(tmp_path) == ["run.jsonl"]
 
     def test_worker_skew_meta(self):
         result, _ = self.run_observed(sb_n(3), "tso", 2)

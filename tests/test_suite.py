@@ -142,6 +142,26 @@ class TestDifferential:
         assert task.result.executions == serial.executions
         assert task.result.outcomes == serial.outcomes
 
+    def test_bounded_task_runs_whole(self):
+        """A bounded task is not shardable: it runs whole however large
+        its estimate, and returns the serial run's prefix."""
+        program = sb_n(4)
+        serial = verify(
+            program, "sc", stop_on_error=False, max_executions=5, jobs=1
+        )
+        suite = run_suite(
+            [program_task(program, "sc", max_executions=5)],
+            jobs=2,
+            cache=False,
+            shard_threshold=1,
+        )
+        task = suite.tasks[0]
+        assert task.shards == 1
+        assert task.result.executions == serial.executions == 5
+        assert task.result.outcomes == serial.outcomes
+        assert task.result.final_states == serial.final_states
+        assert task.result.truncated and serial.truncated
+
     def test_whole_corpus_one_pool(self):
         names = litmus_names()[:8]
         suite = run_suite(
