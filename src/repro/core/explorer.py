@@ -125,6 +125,7 @@ class Explorer:
         self.result.elapsed = time.perf_counter() - start
         if obs.enabled:
             self.result.phase_times = obs.phase_report()
+            obs.tracer.record_phases(self.result.phase_times)
             obs.emit(
                 "run_end",
                 executions=self.result.executions,

@@ -689,9 +689,10 @@ def verify_parallel(
         }
     )
     if obs.enabled:
-        merged.phase_times = merge_phase_times(
-            merged.phase_times, obs.phase_report()
-        )
+        # the workers recorded their phases; this is the split's share
+        split = obs.phase_report()
+        obs.tracer.record_phases(split)
+        merged.phase_times = merge_phase_times(merged.phase_times, split)
         obs.emit(
             "run_end",
             executions=merged.executions,

@@ -181,7 +181,8 @@ def _run_lines(manifest: dict) -> list[str]:
             ("seconds", "span_seconds_total",
              "Total traced seconds per span name.", "counter"),
             ("calls", "span_calls_total",
-             "Finished spans per span name.", "counter"),
+             "Calls per span name (a phase span counts its calls).",
+             "counter"),
         ):
             family = f"{_PREFIX}_{family_suffix}"
             lines.append(f"# HELP {family} {help_}")

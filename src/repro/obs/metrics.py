@@ -15,14 +15,17 @@ phase's *self* ("exclusive") time.  ``sum(self)`` over all phases
 therefore never double-counts, which is what makes the per-phase
 breakdown in ``VerificationResult.phase_times`` add up to (at most)
 the wall clock.
+
+Phase timers open no spans: a timer fires thousands of times per
+program, so each run hands its finished
+:meth:`MetricsRegistry.phase_report` to the span layer once
+(:mod:`repro.obs.spans`), which records one aggregated span per phase.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-
-from .spans import NULL_TRACER
 
 
 @dataclass
@@ -112,23 +115,15 @@ class PhaseStat:
 class _PhaseContext:
     """Reusable context manager for one phase activation."""
 
-    __slots__ = ("registry", "name", "start", "child_time", "span")
+    __slots__ = ("registry", "name", "start", "child_time")
 
     def __init__(self, registry: MetricsRegistry, name: str) -> None:
         self.registry = registry
         self.name = name
         self.start = 0.0
         self.child_time = 0.0
-        self.span = None
 
     def __enter__(self) -> "_PhaseContext":
-        # co-emit a span per phase activation when a tracer is attached;
-        # the NULL tracer keeps this one attribute check (the <5%
-        # disabled-overhead budget holds: an unobserved run never even
-        # reaches the registry)
-        tracer = self.registry.tracer
-        if tracer.enabled:
-            self.span = tracer._push(self.name, "phase", None)
         self.start = self.registry._clock()
         self.child_time = 0.0
         self.registry._stack.append(self)
@@ -138,9 +133,6 @@ class _PhaseContext:
         registry = self.registry
         duration = registry._clock() - self.start
         registry._stack.pop()
-        if self.span is not None:
-            registry.tracer._pop(self.span)
-            self.span = None
         stat = registry._phases.get(self.name)
         if stat is None:
             stat = registry._phases[self.name] = PhaseStat()
@@ -155,11 +147,8 @@ class _PhaseContext:
 class MetricsRegistry:
     """Counters, gauges, histograms and nested phase timers."""
 
-    def __init__(self, clock=time.perf_counter, tracer=NULL_TRACER) -> None:
+    def __init__(self, clock=time.perf_counter) -> None:
         self._clock = clock
-        #: co-emits a span per phase activation when enabled (see
-        #: repro.obs.spans); NULL_TRACER costs one attribute check
-        self.tracer = tracer
         self.counters: dict[str, float] = {}
         self.gauges: dict[str, float] = {}
         self.histograms: dict[str, Histogram] = {}

@@ -116,9 +116,6 @@ class Observer(NullObserver):
         self.progress = progress
         self.trace_enabled = trace is not None
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        if self.tracer.enabled:
-            # phase timers co-emit spans through the registry
-            self.metrics.tracer = self.tracer
 
     # -- construction helpers -------------------------------------------
 

@@ -1,13 +1,20 @@
 """End-to-end span tracing: one trace_id across every layer of a run.
 
 A **span** is one timed operation — an HTTP submit, a queued job, a
-suite task, a worker subprocess exploring a subtree, a single
-``check:*`` phase — recorded as plain JSON-ready data::
+suite task, a worker subprocess exploring a subtree — recorded as
+plain JSON-ready data::
 
     {"trace_id": ..., "span_id": ..., "parent_id": ...,
-     "name": "check:coherence", "cat": "phase",
+     "name": "explore:SB", "cat": "worker",
      "start": <epoch seconds>, "dur": <seconds>,
      "pid": ..., "tid": ..., "attrs": {...}}
+
+A ``cat="phase"`` span (``replay``, ``check:coherence``, ...) stands
+for every call of that phase in one run: phase timers fire thousands
+of times per program, so :meth:`SpanTracer.record_phases` turns a
+run's phase report into one span per phase, with the phase's self
+time as ``dur`` and its ``calls`` and inclusive ``total`` in
+``attrs``.
 
 ``start`` is wall-clock *aligned* but monotonically *measured*: each
 tracer pins ``time.time()`` to ``perf_counter()`` once at construction
@@ -47,7 +54,7 @@ import time
 import uuid
 
 #: version stamp carried by exported span documents
-SPAN_SCHEMA_VERSION = 1
+SPAN_SCHEMA_VERSION = 2
 
 #: default bounded-ring capacity per tracer (finished spans retained;
 #: older spans are dropped and counted once the ring is full)
@@ -120,6 +127,9 @@ class NullTracer:
         return None
 
     def absorb(self, spans) -> None:
+        pass
+
+    def record_phases(self, report: dict) -> None:
         pass
 
     def snapshot(self) -> list[dict]:
@@ -306,6 +316,32 @@ class SpanTracer(NullTracer):
             if isinstance(span, dict) and "span_id" in span:
                 self._finish(dict(span))
 
+    def record_phases(self, report: dict) -> None:
+        """Record one run's phase report (``name -> {calls, total,
+        self}``, see ``MetricsRegistry.phase_report``) as one finished
+        ``cat="phase"`` span per phase under the innermost open span.
+
+        A span's ``dur`` is the phase's self time and its attrs carry
+        ``calls`` and the inclusive ``total``.  The spans are laid end
+        to end, ending now: the self times are disjoint slices of the
+        time since the open span began, so the spans nest inside it on
+        a timeline.
+        """
+        parent_id = self._parent_id(None)
+        t = self._clock() - sum(stat["self"] for stat in report.values())
+        for name, stat in report.items():
+            span = self._open(
+                name,
+                "phase",
+                parent_id,
+                {"calls": stat["calls"], "total": stat["total"]},
+            )
+            del span["_t0"]
+            span["start"] = self._wall0 + (t - self._perf0)
+            span["dur"] = stat["self"]
+            t += stat["self"]
+            self._finish(span)
+
     def snapshot(self) -> list[dict]:
         """The finished spans, as picklable plain data (open spans are
         not included — finish them first)."""
@@ -478,8 +514,9 @@ def flame_tree(spans) -> FlameNode:
     Roots are spans with no (resolvable) parent; a span's self time is
     its duration minus its direct children's durations (clamped at 0 —
     absorbed segments from other processes can overlap their parent).
-    Same-named siblings merge, so repeated phases fold into one node
-    with a call count, like a collapsed flamegraph.
+    Same-named siblings merge, so repeated spans fold into one node
+    with a call count, like a collapsed flamegraph; a span counts as
+    its ``attrs["calls"]`` calls (an aggregated phase span), else one.
     """
     records = [s for s in spans if isinstance(s, dict) and "span_id" in s]
     by_id = {s["span_id"]: s for s in records}
@@ -505,7 +542,7 @@ def flame_tree(spans) -> FlameNode:
         kid_time = sum(max(0.0, k.get("dur", 0.0)) for k in kids)
         child.total += dur
         child.self_time += max(0.0, dur - kid_time)
-        child.calls += 1
+        child.calls += span.get("attrs", {}).get("calls", 1)
         for kid in sorted(kids, key=lambda s: s.get("start", 0.0)):
             _fold(kid, child)
 
@@ -574,7 +611,9 @@ def span_summary(spans) -> dict:
     """Per-name duration families: ``name -> {calls, seconds, cat}``,
     sorted by name.  This is what run manifests carry and
     :func:`repro.obs.export.to_prometheus` renders as
-    ``repro_span_seconds_total`` / ``repro_span_calls_total``."""
+    ``repro_span_seconds_total`` / ``repro_span_calls_total``.  A span
+    counts as its ``attrs["calls"]`` calls (default one), so a phase's
+    family holds its call count and its self time."""
     summary: dict[str, dict] = {}
     for span in spans or ():
         if not isinstance(span, dict) or "span_id" not in span:
@@ -583,7 +622,7 @@ def span_summary(spans) -> dict:
         entry = summary.setdefault(
             name, {"calls": 0, "seconds": 0.0, "cat": span.get("cat", "span")}
         )
-        entry["calls"] += 1
+        entry["calls"] += span.get("attrs", {}).get("calls", 1)
         entry["seconds"] += max(0.0, span.get("dur", 0.0))
     for entry in summary.values():
         entry["seconds"] = round(entry["seconds"], 6)

@@ -310,12 +310,16 @@ class _Handler(BaseHTTPRequestHandler):
                     "text/plain; version=0.0.4",
                 )
             if segments == ["v1", "jobs"]:
-                limit = int(query.get("limit", ["100"])[0])
+                limit = query.get("limit", ["100"])[0]
+                if not limit.isdecimal():
+                    raise ProtocolError(
+                        "limit must be a non-negative integer"
+                    )
                 return self._send_json(
                     200,
                     {
                         "v": PROTOCOL_VERSION,
-                        "jobs": self.service.list_jobs(limit),
+                        "jobs": self.service.list_jobs(int(limit)),
                     },
                 )
             if len(segments) == 3 and segments[:2] == ["v1", "jobs"]:

@@ -375,6 +375,18 @@ class TestEndToEnd:
         assert client.health() is True
         assert client.ready() is True
 
+    def test_list_limit_must_be_a_non_negative_integer(self, service, client):
+        payload = {"kind": "litmus", "test": "SB", "model": "sc"}
+        for _ in range(2):
+            client.wait(client.submit(payload)["id"], timeout=60)
+        assert client.list_jobs(limit=0) == []
+        assert len(client.list_jobs(limit=1)) == 1
+        for bad in ("abc", -1, "1.5"):
+            with pytest.raises(ServiceError) as info:
+                client.list_jobs(limit=bad)
+            assert info.value.status == 400
+            assert "limit" in str(info.value)
+
 
 class TestBackpressureAndErrors:
     @pytest.fixture
@@ -811,6 +823,31 @@ class TestSpansEndToEnd:
 
 class TestEventsDropped:
     """Satellite: ring eviction is counted, hooked and exported."""
+
+    def test_verify_job_trace_fits_its_rings(self):
+        # one aggregated span per phase: a fib(3)/tso job, whose 8,662
+        # phase calls each used to become a span, keeps its whole feed
+        svc = VerificationService(port=0, jobs=2, queue_size=8, cache=False)
+        svc.start()
+        try:
+            client = ServiceClient(svc.url)
+            job = client.submit(
+                {
+                    "kind": "verify",
+                    "program": {"family": "fib", "n": 3},
+                    "model": "tso",
+                }
+            )
+            client.wait(job["id"], timeout=300)
+            status = client.status(job["id"])
+            spans = client.spans(job["id"])
+            events = list(client.stream(job["id"], timeout=5.0))
+        finally:
+            svc.stop()
+        assert status["state"] == "done"
+        assert status["events_dropped"] == 0
+        assert spans["dropped"] == 0
+        assert events[0]["t"] == "job_queued"
 
     def test_job_counts_dropped_events(self, monkeypatch):
         monkeypatch.setattr(protocol, "MAX_JOB_EVENTS", 4)

@@ -10,10 +10,14 @@ JSONL span file round-trip, and the CLI verbs
 """
 
 import json
+import time
+from collections import Counter
 
 import pytest
 
+from repro.bench.workloads import FAMILIES
 from repro.cli import main
+from repro.core import verify
 from repro.obs import (
     NULL_TRACER,
     Observer,
@@ -31,7 +35,7 @@ from repro.obs import (
     write_spans,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.suite import litmus_matrix, run_suite
+from repro.suite import litmus_matrix, program_task, run_suite
 
 NAMES = ["SB", "MP", "LB", "CoRR"]
 
@@ -194,25 +198,36 @@ class TestNullTracer:
 
     def test_phase_timers_skip_span_work_when_disabled(self):
         registry = MetricsRegistry()
-        assert registry.tracer is NULL_TRACER
         with registry.phase("alpha"):
             pass
         assert registry.phase_report()["alpha"]["calls"] == 1
 
-    def test_phase_timers_co_emit_spans_when_enabled(self):
+    def test_phase_report_records_one_span_per_phase(self):
         tracer = SpanTracer()
-        registry = MetricsRegistry(tracer=tracer)
-        with registry.phase("alpha"):
-            with registry.phase("beta"):
-                pass
-        spans = tracer.snapshot()
-        assert [s["name"] for s in spans] == ["beta", "alpha"]
-        assert all(s["cat"] == "phase" for s in spans)
-        assert spans[0]["parent_id"] == spans[1]["span_id"]
-        # the phase report is unaffected by co-emission
-        report = registry.phase_report()
-        assert report["alpha"]["calls"] == 1
-        assert report["beta"]["calls"] == 1
+        obs = Observer(tracer=tracer)
+        with tracer.span("explore", cat="worker") as parent:
+            for _ in range(3):
+                with obs.phase("alpha"):
+                    with obs.phase("beta"):
+                        time.sleep(0.001)
+                        # a phase timer opens no span
+                        assert tracer.current_context()["span_id"] == (
+                            parent["span_id"]
+                        )
+            assert tracer.snapshot() == []
+            report = obs.phase_report()
+            tracer.record_phases(report)
+        phases = [s for s in tracer.snapshot() if s["cat"] == "phase"]
+        assert sorted(s["name"] for s in phases) == ["alpha", "beta"]
+        for span in phases:
+            stat = report[span["name"]]
+            assert span["attrs"] == {"calls": 3, "total": stat["total"]}
+            assert span["dur"] == stat["self"]
+            assert span["parent_id"] == parent["span_id"]
+            assert parent["start"] <= span["start"]
+            assert span["start"] + span["dur"] <= (
+                parent["start"] + parent["dur"]
+            )
 
     def test_observer_defaults_to_null_tracer(self):
         assert Observer().tracer is NULL_TRACER
@@ -286,6 +301,46 @@ class TestCrossProcessPropagation:
 
 def s_cat_phase_in_worker(span, worker_pids):
     return span["cat"] == "phase" and span["pid"] in worker_pids
+
+
+def _serial(program, model, obs):
+    return verify(program, model, observer=obs, jobs=1)
+
+
+def _sharded(program, model, obs):
+    return verify(program, model, observer=obs, jobs=2)
+
+
+def _suite(program, model, obs):
+    suite = run_suite(
+        [program_task(program, model)], jobs=2, cache=False, observer=obs
+    )
+    return suite.tasks[0].result
+
+
+class TestAggregatedPhaseSpans:
+    """A run records one span per phase, not one per phase call."""
+
+    @pytest.mark.parametrize("run", [_serial, _sharded, _suite])
+    @pytest.mark.parametrize(
+        "family,n,model", [("sb", 3, "tso"), ("lastzero", 3, "imm")]
+    )
+    def test_one_phase_span_per_name_per_run(self, run, family, n, model):
+        tracer = SpanTracer()
+        with tracer.span("verify", cat="run"):
+            result = run(FAMILIES[family](n), model, Observer(tracer=tracer))
+        spans = tracer.snapshot()
+        phases = [s for s in spans if s["cat"] == "phase"]
+        assert phases
+        children = Counter((s["parent_id"], s["name"]) for s in phases)
+        assert max(children.values()) == 1
+        calls = Counter()
+        for span in phases:
+            calls[span["name"]] += span["attrs"]["calls"]
+        assert calls == {
+            name: stat["calls"] for name, stat in result.phase_times.items()
+        }
+        assert tracer.dropped == 0
 
 
 class TestPerfettoExport:
@@ -374,10 +429,18 @@ class TestFlameAndSummary:
             with t.span("outer"):
                 with t.span("inner"):
                     pass
-        root = flame_tree(t.snapshot())
+        spans = t.snapshot()
+        # an aggregated phase span counts as its calls
+        spans.append(
+            make_span("replay", trace_id=t.trace_id, start=0.0, dur=0.0,
+                      cat="phase", parent_id=spans[-1]["span_id"],
+                      attrs={"calls": 5})
+        )
+        root = flame_tree(spans)
         outer = root.children["outer"]
         assert outer.calls == 3
         assert outer.children["inner"].calls == 3
+        assert outer.children["replay"].calls == 5
         assert outer.self_time >= 0.0
 
     def test_format_flame_renders(self):
@@ -405,12 +468,17 @@ class TestFlameAndSummary:
             make_span("explore", trace_id="t", start=0.0, dur=0.5,
                       cat="worker"),
             make_span("check", trace_id="t", start=0.0, dur=0.25),
+            make_span("replay", trace_id="t", start=0.0, dur=0.125,
+                      cat="phase", attrs={"calls": 5}),
         ]
         summary = span_summary(spans)
         assert summary["explore"] == {
             "calls": 2, "seconds": 2.0, "cat": "worker",
         }
         assert summary["check"]["calls"] == 1
+        assert summary["replay"] == {
+            "calls": 5, "seconds": 0.125, "cat": "phase",
+        }
         assert list(summary) == sorted(summary)
 
     def test_prometheus_span_families(self):
