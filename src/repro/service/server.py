@@ -416,20 +416,22 @@ class _Handler(BaseHTTPRequestHandler):
         )
 
     def _serve_events(self, job, query) -> None:
+        since = query.get("since", ["0"])[0]
+        if not since.isdecimal():
+            raise ProtocolError("since must be a non-negative integer")
         try:
-            since = int(query.get("since", ["0"])[0])
             timeout = float(
                 query.get("timeout", [str(DEFAULT_STREAM_TIMEOUT)])[0]
             )
         except ValueError:
-            raise ProtocolError("since/timeout must be numbers") from None
+            raise ProtocolError("timeout must be a number") from None
         timeout = min(max(0.0, timeout), MAX_STREAM_TIMEOUT)
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
         self.send_header("Cache-Control", "no-store")
         self.end_headers()
         deadline = time.monotonic() + timeout
-        cursor = since
+        cursor = int(since)
         while True:
             events, cursor = job.events_since(cursor)
             for event in events:

@@ -132,10 +132,11 @@ class _JobEventSink:
 class JobExecutor(threading.Thread):
     """The single thread that executes queued jobs, in order.
 
-    One executor means jobs never compete for the pool: parallelism
-    lives *inside* a job (``jobs`` worker processes exploring its
-    subtrees), which is the right shape for a verification server —
-    latency of the job at the head of the queue beats fairness games.
+    One executor means jobs never compete for the pool: a ``verify``
+    or ``litmus`` job runs whole on one worker, and a ``suite`` job
+    spreads its tasks over all ``jobs`` workers, which is the right
+    shape for a verification server — latency of the job at the head
+    of the queue beats fairness games.
     """
 
     daemon = True

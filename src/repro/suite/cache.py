@@ -27,9 +27,12 @@ import time
 from ..core.config import ExplorationOptions
 from ..core.report import to_dict
 
-#: bump when the entry payload layout changes (part of the key, so a
-#: bump orphans old entries rather than misreading them)
-CACHE_SCHEMA_VERSION = 1
+#: bump when the entry payload layout or the meaning of its counts
+#: changes (part of the key, so a bump orphans old entries rather than
+#: misreading them).  2: a pooled task's counts are always those of a
+#: whole run; schema-1 entries may hold a sharded run's blocked and
+#: duplicate counts.
+CACHE_SCHEMA_VERSION = 2
 
 #: the ``kind`` tag inside every entry file
 CACHE_ENTRY_KIND = "repro-suite-cache-entry"

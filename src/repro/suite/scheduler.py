@@ -10,25 +10,18 @@ of spinning a pool up and down per verification the way N individual
   :class:`~repro.suite.cache.ResultCache`; hits are served without
   touching the pool (``--force`` recomputes, ``--rerun-failed``
   re-runs only tasks whose cached result has errors or truncation).
-* With ``jobs > 1``, cache misses are sized with the paper's
-  Knuth-style exploration estimator
-  (:func:`~repro.core.estimate.estimate_explorations`) and dispatched
-  **longest-expected-first**, so a big task never starts last and
-  leaves the pool idling behind it.  A serial run skips the estimate
-  and runs its misses in the caller's order.
-* A task whose estimate crosses ``shard_threshold`` (and whose options
-  are :func:`~repro.core.parallel.shardable`) is split into
-  subtree shards via :func:`~repro.core.parallel.split_frontier`, the
-  same mechanism ``verify(jobs=N)`` uses; small tasks run whole, one
-  task per worker.  All shards and whole tasks share the same pool and
-  the same PR-3 fault semantics (timeout, retry, serial fallback).
+* Every cache miss runs whole: one pool task with the task's own
+  options, dispatched in the caller's order.  The pool parallelises
+  across tasks only; splitting one search over workers is
+  ``verify(jobs=N)``'s job.  Every pool task gets the supervisor's
+  fault handling (timeout, retry, serial fallback).
 
-Results are finalised *as they complete* — merged (for sharded tasks),
-probe-evaluated (for litmus tasks) with
-:func:`~repro.litmus.runner.verdict_from_result` so batched verdicts
-are bit-identical to individual :func:`~repro.litmus.run_litmus`
-calls, and written to the cache immediately, so an interrupted suite
-resumes where it stopped on the next run.
+Results are finalised *as they complete* — probe-evaluated (for litmus
+tasks) with :func:`~repro.litmus.runner.verdict_from_result` so
+batched verdicts are bit-identical to individual
+:func:`~repro.litmus.run_litmus` calls, and written to the cache
+immediately, so an interrupted suite resumes where it stopped on the
+next run.
 """
 
 from __future__ import annotations
@@ -36,20 +29,12 @@ from __future__ import annotations
 import multiprocessing
 import time
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from ..core.config import ExplorationOptions, resolve_options
-from ..core.estimate import estimate_explorations
 from ..core.explorer import effective_jobs
-from ..core.parallel import (
-    PoolSupervisor,
-    _model_spec,
-    run_task,
-    shardable,
-    split_frontier,
-)
+from ..core.parallel import PoolSupervisor, _model_spec, run_task
 from ..core.report import from_dict
-from ..core.result import VerificationResult
 from ..lang import Program
 from ..litmus.catalog import LitmusTest, get_litmus, litmus_names
 from ..litmus.expectations import allowed
@@ -62,14 +47,6 @@ from ..models import MemoryModel, get_model
 from ..obs import NULL_OBSERVER
 from .cache import ResultCache, task_key
 from .result import SuiteResult, TaskResult
-
-#: estimated executions above which a task is worth sharding across
-#: the pool rather than running whole on one worker
-DEFAULT_SHARD_THRESHOLD = 2000
-
-#: random walks per task for the scheduling estimate (ordering only,
-#: so a rough figure is plenty)
-DEFAULT_ESTIMATE_WALKS = 6
 
 
 @dataclass(frozen=True)
@@ -164,11 +141,6 @@ class _Plan:
     pos: int  #: index into the caller's task list
     task: SuiteTask
     key: str
-    estimate: float | None = None  #: expected executions (pool runs only)
-    prefixes: list | None = None  #: subtree shards; None = run whole
-    partial: VerificationResult | None = None  #: accumulated while splitting
-    pieces: dict = field(default_factory=dict)  #: shard index -> result
-    remaining: int = 0  #: outstanding pool jobs
     span: dict | None = None  #: the open suite-task span (tracer on)
 
 
@@ -225,12 +197,11 @@ def run_suite(
     task_timeout: float | None = None,
     task_retries: int = 2,
     observer=NULL_OBSERVER,
-    shard_threshold: int = DEFAULT_SHARD_THRESHOLD,
-    estimate_walks: int = DEFAULT_ESTIMATE_WALKS,
     seed: int = 0,
     supervisor: PoolSupervisor | None = None,
 ) -> SuiteResult:
-    """Run every task in ``tasks`` through one shared worker pool.
+    """Run every task in ``tasks`` through one shared worker pool, one
+    whole task per pool job, in the caller's order.
 
     ``jobs`` follows :func:`~repro.core.explorer.effective_jobs`
     resolution (None → ``REPRO_JOBS`` or serial; 0 → one per CPU).
@@ -246,9 +217,9 @@ def run_suite(
     so worker processes stay warm across suites; the caller owns its
     lifetime, and this run sets its timeout/retry knobs and observer.
 
-    ``shard_threshold``, ``estimate_walks`` and ``seed`` steer the
-    size estimate that orders and shards the cache misses, which only
-    a pooled run (``jobs > 1``) makes.
+    ``seed`` is accepted for compatibility and ignored: nothing in a
+    suite run is random.  A pooled run never splits a task; use
+    ``verify(jobs=N)`` to spread one search over workers.
     """
     tasks = list(tasks)
     start = time.perf_counter()
@@ -299,23 +270,18 @@ def run_suite(
         else:
             plans.append(_Plan(pos=pos, task=task, key=key))
 
-    def _finalize(plan: _Plan, shards: int) -> None:
+    def _complete(job: int, value) -> bool:
+        _, _, result, snapshot = value
+        obs.absorb(snapshot, worker=job)
+        plan = plans[job]
         task = plan.task
-        merged = plan.partial
-        for shard in sorted(plan.pieces):
-            piece = plan.pieces[shard]
-            merged = piece if merged is None else merged.merge(piece)
-        if merged is None:  # pragma: no cover - every plan has >=1 piece
-            raise RuntimeError(f"suite task {task.id} produced no result")
-        if not task.options.collect_keys:
-            merged.execution_records = []
         verdict = None
         if task.kind == "litmus":
-            verdict = verdict_from_result(task.probe, task.model.name, merged)
+            verdict = verdict_from_result(task.probe, task.model.name, result)
         if store is not None:
             store.store(
                 plan.key,
-                merged,
+                result,
                 task={
                     "id": task.id,
                     "kind": task.kind,
@@ -331,88 +297,40 @@ def run_suite(
             model=task.model.name,
             key=plan.key,
             cached=False,
-            shards=shards,
-            result=merged,
+            shards=1,
+            result=result,
             verdict=verdict,
             expected=_expected(task),
         )
         if plan.span is not None:
             tracer.end_span(
                 plan.span,
-                shards=shards,
-                executions=merged.executions,
-                errors=len(merged.errors),
+                executions=result.executions,
+                errors=len(result.errors),
             )
-            plan.span = None
         if obs.trace_enabled:
             obs.emit(
                 "suite_task_done",
                 task=task.id,
-                shards=shards,
-                executions=merged.executions,
-                errors=len(merged.errors),
+                executions=result.executions,
+                errors=len(result.errors),
                 observed=verdict.observed if verdict is not None else None,
             )
+        return False  # a suite never stops early: other tasks are independent
 
-    # -- size, order and shard the misses (a pool only: longest-first
-    # order cannot change a serial total, and nothing shards serially)
-    if jobs > 1:
+    if tracer.enabled:
+        # a detached span per scheduled task: lifetimes overlap (N tasks
+        # in flight on the pool), so the nesting stack can't carry them;
+        # workers parent their explore spans on it
         for plan in plans:
-            task = plan.task
-            plan.estimate = estimate_explorations(
-                task.program, task.model, walks=estimate_walks, seed=seed
-            ).mean
-            if plan.estimate < shard_threshold or not shardable(task.options):
-                continue
-            split_options = replace(task.options, collect_keys=True, jobs=None)
-            frontier, partial, aborted = split_frontier(
-                task.program,
-                task.model,
-                split_options,
-                target=jobs * task.options.oversubscription,
-                observer=obs,
-            )
-            if aborted:
-                # stop-on-error or max_events fired during splitting;
-                # run whole for parity with the serial run
-                continue
-            plan.partial = partial
-            plan.prefixes = frontier  # may be empty: split finished it
-        plans.sort(key=lambda p: -p.estimate)  # longest-expected-first
-
-    # -- build the job list ----------------------------------------------
-    specs: dict[int, tuple] = {}  # job index -> (plan, shard, options, prefix)
-    for plan in plans:
-        task = plan.task
-        if tracer.enabled:
-            # a detached span per scheduled task: lifetimes overlap (N
-            # tasks in flight on the pool), so the nesting stack can't
-            # carry them; workers parent their explore spans on it
             plan.span = tracer.start_span(
-                f"suite:{task.id}",
-                cat="task",
-                kind=task.kind,
-                estimate=(
-                    None if plan.estimate is None else round(plan.estimate, 1)
-                ),
+                f"suite:{plan.task.id}", cat="task", kind=plan.task.kind
             )
-        if plan.prefixes is None:
-            plan.remaining = 1
-            specs[len(specs)] = (plan, 0, task.options, None)
-        else:
-            plan.remaining = len(plan.prefixes)
-            split_options = replace(
-                task.options, collect_keys=True, jobs=None
-            )
-            for shard, prefix in enumerate(plan.prefixes):
-                specs[len(specs)] = (plan, shard, split_options, prefix)
-            if not plan.prefixes:  # search completed during splitting
-                _finalize(plan, shards=1)
 
     acct: dict = {}
 
     def _payload(job: int):
-        plan, _shard, options, prefix = specs[job]
+        plan = plans[job]
         model_spec = _model_spec(plan.task.model)
         telemetry = obs.context(plan.span)
 
@@ -422,28 +340,14 @@ def run_suite(
                 attempt,
                 plan.task.program,
                 model_spec,
-                options,
-                prefix,
+                plan.task.options,
+                None,
                 telemetry,
             )
 
         return make
 
-    def _complete(job: int, value) -> bool:
-        plan, shard, _options, _prefix = specs[job]
-        _, _, result, snapshot = value
-        obs.absorb(snapshot, worker=job)
-        if shard not in plan.pieces:
-            plan.pieces[shard] = result
-            plan.remaining -= 1
-            if plan.remaining == 0:
-                _finalize(
-                    plan,
-                    shards=1 if plan.prefixes is None else len(plan.prefixes),
-                )
-        return False  # a suite never stops early: other tasks are independent
-
-    pool_jobs = len(specs)
+    pool_jobs = len(plans)
     if jobs > 1 and pool_jobs:
         if obs.trace_enabled:
             obs.emit("suite_dispatch", tasks=pool_jobs, jobs=jobs)
@@ -463,7 +367,9 @@ def run_suite(
                 observer=obs,
             )
         supervisor.run(
-            run_task, {job: _payload(job) for job in specs}, _complete
+            run_task,
+            {job: _payload(job) for job in range(pool_jobs)},
+            _complete,
         )
         acct = dict(supervisor.acct)
         acct["tasks_fallback"] = len(supervisor.fallback)
@@ -473,7 +379,7 @@ def run_suite(
             attempt = supervisor.states[job].attempts
             _complete(job, run_task(_payload(job)(attempt)))
     else:
-        for job in specs:
+        for job in range(pool_jobs):
             _complete(job, run_task(_payload(job)(0)))
 
     suite = SuiteResult(

@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from repro.bench.workloads import ainc
 from repro.cli import main
 from repro.core import verify
 from repro.core.report import to_dict
@@ -270,20 +271,23 @@ class TestEndToEnd:
             port=0, jobs=jobs, queue_size=8, cache=str(tmp_path / "c")
         )
         svc.start()
+        # ainc(4)/imm is large and RMW-heavy: its served blocked and
+        # duplicate counts must be the whole run's, not a sharded run's
+        inputs = [
+            ({"litmus": "MP"}, get_litmus("MP").program, "sc"),
+            ({"family": "ainc", "n": 4}, ainc(4), "imm"),
+        ]
         try:
             client = ServiceClient(svc.url)
-            job = client.submit(
-                {
-                    "kind": "verify",
-                    "program": {"litmus": "MP"},
-                    "model": "sc",
-                }
-            )
-            result = client.wait(job["id"], timeout=60)
-            direct = verify(
-                get_litmus("MP").program, "sc", stop_on_error=False
-            )
-            assert normalize(result["result"]) == normalize(to_dict(direct))
+            for spec, program, model in inputs:
+                job = client.submit(
+                    {"kind": "verify", "program": spec, "model": model}
+                )
+                result = client.wait(job["id"], timeout=120)
+                direct = verify(program, model, stop_on_error=False, jobs=1)
+                assert normalize(result["result"]) == normalize(
+                    to_dict(direct)
+                ), spec
         finally:
             svc.stop()
 
@@ -386,6 +390,20 @@ class TestEndToEnd:
                 client.list_jobs(limit=bad)
             assert info.value.status == 400
             assert "limit" in str(info.value)
+
+    def test_events_since_must_be_a_non_negative_integer(
+        self, service, client
+    ):
+        job = client.submit({"kind": "litmus", "test": "SB", "model": "tso"})
+        client.wait(job["id"], timeout=60)
+        assert client.status(job["id"])["events_dropped"] == 0
+        events = list(client.stream(job["id"], since=0, timeout=5))
+        assert events and events[0]["t"] == "job_queued"
+        for bad in (-5, "abc", "1.5"):
+            with pytest.raises(ServiceError) as info:
+                list(client.stream(job["id"], since=bad, timeout=5))
+            assert info.value.status == 400
+            assert "since" in str(info.value)
 
 
 class TestBackpressureAndErrors:

@@ -116,6 +116,19 @@ class TestCache:
         again = run_suite(tasks[:1], jobs=1, cache=cache)
         assert again.cache_hits == 0
 
+    def test_schema_1_entries_are_not_served(self, cache, monkeypatch):
+        """Schema-1 entries may hold a sharded pooled run's blocked and
+        duplicate counts, so the current schema must miss them."""
+        from repro.suite import cache as cache_module
+
+        task = program_task(sb_n(2), "sc")
+        with monkeypatch.context() as patch:
+            patch.setattr(cache_module, "CACHE_SCHEMA_VERSION", 1)
+            stored = run_suite([task], jobs=1, cache=cache)
+        assert len(cache) == 1 and not stored.tasks[0].cached
+        again = run_suite([task], jobs=1, cache=cache)
+        assert again.tasks[0].cached is False
+
 
 class TestDifferential:
     """Batched verdicts must be bit-identical to individual run_litmus
@@ -128,20 +141,6 @@ class TestDifferential:
             expected = run_litmus(task.probe, task.model)
             assert _verdict_tuple(got.verdict) == _verdict_tuple(expected)
 
-    def test_sharded_task_matches_serial(self):
-        program = sb_n(4)
-        serial = verify(program, "sc", stop_on_error=False)
-        suite = run_suite(
-            [program_task(program, "sc")],
-            jobs=2,
-            cache=False,
-            shard_threshold=1,
-        )
-        task = suite.tasks[0]
-        assert task.shards > 1
-        assert task.result.executions == serial.executions
-        assert task.result.outcomes == serial.outcomes
-
     def test_bounded_task_runs_whole(self):
         """A bounded task is not shardable: it runs whole however large
         its estimate, and returns the serial run's prefix."""
@@ -153,7 +152,6 @@ class TestDifferential:
             [program_task(program, "sc", max_executions=5)],
             jobs=2,
             cache=False,
-            shard_threshold=1,
         )
         task = suite.tasks[0]
         assert task.shards == 1
@@ -161,6 +159,20 @@ class TestDifferential:
         assert task.result.outcomes == serial.outcomes
         assert task.result.final_states == serial.final_states
         assert task.result.truncated and serial.truncated
+
+    def test_pooled_run_never_estimates(self, monkeypatch):
+        """Cache misses run whole: a pooled suite never sizes a task."""
+        from repro.core import estimate
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("run_suite must not estimate")
+
+        monkeypatch.setattr(estimate, "_one_walk", refuse)
+        tasks = litmus_matrix(["SB", "MP", "LB"], models=("sc", "tso"))
+        suite = run_suite(tasks, jobs=2, cache=False)
+        for task, got in zip(tasks, suite.tasks):
+            expected = run_litmus(task.probe, task.model)
+            assert _verdict_tuple(got.verdict) == _verdict_tuple(expected)
 
     def test_whole_corpus_one_pool(self):
         names = litmus_names()[:8]
@@ -175,7 +187,7 @@ class TestDifferential:
 
 
 class TestScheduling:
-    def test_longest_expected_first_runs_everything(self, tasks):
+    def test_pooled_run_dispatches_every_task(self, tasks):
         suite = run_suite(tasks, jobs=2, cache=False)
         assert {t.task_id for t in suite.tasks} == {t.id for t in tasks}
         assert suite.pool_tasks == len(tasks)
