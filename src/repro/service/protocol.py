@@ -473,6 +473,14 @@ class Job:
                 return True
             return self._cond.wait(timeout)
 
+    def wait_terminal(self, timeout: float) -> bool:
+        """Block until the job is terminal (or ``timeout`` elapses);
+        returns whether it is."""
+        with self._cond:
+            return self._cond.wait_for(
+                lambda: self.state in TERMINAL_STATES, timeout
+            )
+
     # -- the state machine ------------------------------------------------
 
     @property

@@ -1,14 +1,15 @@
 """The HTTP verification server.
 
 A stdlib-only ``ThreadingHTTPServer`` front end over the job queue and
-executor::
+executor, speaking HTTP/1.1 with keep-alive::
 
     POST   /v1/jobs              submit (202; 429 when the queue is full,
                                  503 while draining, 413 oversized)
     GET    /v1/jobs              recent jobs, newest first
     GET    /v1/jobs/<id>         status document
     GET    /v1/jobs/<id>/events  NDJSON progress stream (?since=&timeout=)
-    GET    /v1/jobs/<id>/result  final result (409 until terminal)
+    GET    /v1/jobs/<id>/result  final result (409 until terminal;
+                                 ?wait=SECS long-polls until it is)
     GET    /v1/jobs/<id>/spans   finished trace spans (submit span
                                  immediately; the full tree once done)
     DELETE /v1/jobs/<id>         cancel a queued job (409 once running)
@@ -18,7 +19,9 @@ executor::
 
 Handler threads only ever touch the queue, the job registry and the
 stats — execution happens on the single executor thread, so a slow
-exploration can never starve the HTTP plane.
+exploration can never starve the HTTP plane.  Each connection has its
+own handler thread; every response but the event stream carries a
+``Content-Length`` and leaves the connection open for the next request.
 
 Graceful drain (``SIGTERM``/``SIGINT`` under :func:`serve`): intake
 stops (``readyz`` flips to 503, new ``POST`` s get 503), every job
@@ -30,6 +33,7 @@ down, and the process exits 0.
 from __future__ import annotations
 
 import json
+import math
 import os
 import signal
 import sys
@@ -43,6 +47,8 @@ from .. import __version__
 from ..obs import to_prometheus
 from .protocol import (
     CANCELLED,
+    DONE,
+    FAILED,
     MAX_BODY_BYTES,
     PROTOCOL_VERSION,
     Job,
@@ -61,6 +67,10 @@ MAX_JOB_HISTORY = 1024
 #: default / maximum client-controlled event-stream duration
 DEFAULT_STREAM_TIMEOUT = 300.0
 MAX_STREAM_TIMEOUT = 3600.0
+
+#: seconds a connection's socket may wait on one read or write (a body
+#: that stalls, a kept-alive connection left idle) before it is closed
+IDLE_TIMEOUT = 30.0
 
 
 class VerificationService:
@@ -228,6 +238,14 @@ class VerificationService:
 
 class _Handler(BaseHTTPRequestHandler):
     server_version = f"repro-service/{__version__}"
+    protocol_version = "HTTP/1.1"
+    # headers and body go out as two sends; with Nagle on, the body
+    # waits for the client's delayed ACK of the headers
+    disable_nagle_algorithm = True
+
+    def setup(self) -> None:
+        self.timeout = IDLE_TIMEOUT
+        super().setup()
 
     @property
     def service(self) -> VerificationService:
@@ -262,23 +280,19 @@ class _Handler(BaseHTTPRequestHandler):
     def _error(self, status: int, message: str, **headers) -> None:
         self._send_json(status, {"error": message}, **headers)
 
-    def _read_body(self):
+    def _content_length(self) -> int:
         length = self.headers.get("Content-Length")
         if length is None:
             raise ProtocolError("Content-Length required", status=411)
-        try:
-            length = int(length)
-        except ValueError:
-            raise ProtocolError("bad Content-Length", status=400) from None
-        if length > self.service.max_body:
+        if not length.isdecimal():
+            raise ProtocolError(
+                "Content-Length must be a non-negative integer"
+            )
+        if int(length) > self.service.max_body:
             raise ProtocolError(
                 f"body exceeds {self.service.max_body} bytes", status=413
             )
-        raw = self.rfile.read(length)
-        try:
-            return json.loads(raw)
-        except ValueError:
-            raise ProtocolError("body is not valid JSON") from None
+        return int(length)
 
     def _job_or_404(self, job_id: str):
         job = self.service.job(job_id)
@@ -332,7 +346,7 @@ class _Handler(BaseHTTPRequestHandler):
                 if job is None:
                     return
                 if segments[3] == "result":
-                    return self._serve_result(job)
+                    return self._serve_result(job, query)
                 if segments[3] == "events":
                     return self._serve_events(job, query)
                 if segments[3] == "spans":
@@ -347,9 +361,20 @@ class _Handler(BaseHTTPRequestHandler):
         received = time.time()
         try:
             segments, _query = self._route()
-            if segments != ["v1", "jobs"]:
-                return self._error(404, f"no route for POST {self.path}")
-            payload = self._read_body()
+            try:
+                if segments != ["v1", "jobs"]:
+                    raise ProtocolError(
+                        f"no route for POST {self.path}", status=404
+                    )
+                length = self._content_length()
+            except ProtocolError as exc:
+                # the body stays unread; on a kept-alive connection it
+                # would be parsed as the next request
+                return self._error(exc.status, str(exc), Connection="close")
+            try:
+                payload = json.loads(self.rfile.read(length))
+            except ValueError:
+                return self._error(400, "body is not valid JSON")
             try:
                 job = self.service.submit(payload, received=received)
             except QueueFull as exc:
@@ -366,8 +391,6 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(
                 202, job.status(), Location=f"/v1/jobs/{job.id}"
             )
-        except ProtocolError as exc:
-            self._error(exc.status, str(exc))
         except (BrokenPipeError, ConnectionResetError):
             pass
 
@@ -389,18 +412,30 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- bodies -----------------------------------------------------------
 
-    def _serve_result(self, job) -> None:
-        if job.payload is not None:
+    def _serve_result(self, job, query) -> None:
+        if "wait" in query:
+            try:
+                wait = float(query["wait"][0])
+            except ValueError:
+                wait = math.nan
+            if not (math.isfinite(wait) and wait >= 0):
+                raise ProtocolError(
+                    "wait must be a finite number of seconds >= 0"
+                )
+            job.wait_terminal(min(wait, MAX_STREAM_TIMEOUT))
+        state = job.state
+        if state == DONE:
             return self._send_json(200, job.payload)
-        if job.state == CANCELLED:
-            return self._error(409, "job was cancelled")
-        if job.error is not None:
+        if state == FAILED:
             return self._send_json(
-                500, {"error": job.error, "id": job.id, "state": job.state}
+                500, {"error": job.error, "id": job.id, "state": state}
             )
-        self._error(
-            409, f"job {job.id} is {job.state}; result not ready"
+        message = (
+            f"job {job.id} was cancelled"
+            if state == CANCELLED
+            else f"job {job.id} is {state}; result not ready"
         )
+        self._send_json(409, {"error": message, "id": job.id, "state": state})
 
     def _serve_spans(self, job) -> None:
         self._send_json(
@@ -429,6 +464,9 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
         self.send_header("Cache-Control", "no-store")
+        # no Content-Length: the end of the stream is the end of the
+        # connection
+        self.send_header("Connection", "close")
         self.end_headers()
         deadline = time.monotonic() + timeout
         cursor = int(since)
