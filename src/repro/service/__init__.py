@@ -6,7 +6,8 @@ with 429 backpressure (:mod:`repro.service.queue`), a single executor
 thread driving jobs onto one persistent worker pool
 (:mod:`repro.service.worker`), the HTTP server with NDJSON progress
 streaming and SIGTERM graceful drain (:mod:`repro.service.server`),
-and a urllib client (:mod:`repro.service.client`).
+and an http.client client with one kept-alive connection per thread
+(:mod:`repro.service.client`).
 
 See docs/SERVICE.md for the wire protocol and job lifecycle.
 """
