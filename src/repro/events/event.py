@@ -8,38 +8,25 @@ writes living on the pseudo-thread :data:`INIT_TID`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 #: Thread id of the pseudo-thread holding initialisation writes.
 INIT_TID = -1
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Event:
+class Event(NamedTuple):
     """The identity of an event: thread id and program-order index.
 
-    Events are the keys of every relation adjacency set and graph
-    cache, so they are hashed orders of magnitude more often than they
-    are created — the hash is computed once here and served from a
-    slot.
+    Events key every relation adjacency set and graph cache, so they
+    are hashed and compared far more often than they are created; as a
+    named tuple, hashing, equality, ordering and field reads all run
+    in C.  An ``Event`` therefore equals the plain tuple
+    ``(tid, index)``, hashes and orders like it, and pickles as its
+    two fields.
     """
 
     tid: int
     index: int
-    _hash: int = field(default=0, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.tid, self.index)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        # dataclass __eq__ builds a field tuple per comparison; this
-        # runs on every hash-bucket collision, so keep it flat.
-        if other.__class__ is Event:
-            return self.tid == other.tid and self.index == other.index
-        return NotImplemented
 
     @property
     def is_initial(self) -> bool:
