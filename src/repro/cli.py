@@ -67,6 +67,7 @@ from .bench import ALL_EXPERIMENTS, run_backend, serial_vs_parallel, workloads
 from .bench.datastructures import DATA_STRUCTURES
 from .core import ExplorationOptions, effective_jobs
 from .core.compare import compare_models
+from .core.config import check_task_timeout
 from .core.repair import synthesize_fences
 from .events import FenceKind
 from .litmus import allowed, get_litmus, litmus_names, run_litmus
@@ -153,6 +154,15 @@ def _first_sentence(doc: str | None) -> str:
     text = " ".join(doc.split())
     match = re.match(r"(.*?\.)(?:\s|$)", text)
     return match.group(1) if match else text
+
+
+def _task_timeout_arg(text: str) -> float:
+    """``--task-timeout``'s type: a float that passes
+    :func:`~repro.core.config.check_task_timeout`."""
+    try:
+        return check_task_timeout(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _load_cat_model(path: str):
@@ -993,7 +1003,7 @@ def build_parser() -> argparse.ArgumentParser:
     litmus.add_argument("--model-file", metavar="PATH", help=model_file_help)
     litmus.add_argument("--jobs", type=int, default=None, help=jobs_help)
     litmus.add_argument(
-        "--task-timeout", type=float, default=None, help=task_timeout_help
+        "--task-timeout", type=_task_timeout_arg, help=task_timeout_help
     )
 
     bench = sub.add_parser("bench", help="run one benchmark workload")
@@ -1002,7 +1012,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--model", default="sc", choices=model_names())
     bench.add_argument("--jobs", type=int, default=None, help=jobs_help)
     bench.add_argument(
-        "--task-timeout", type=float, default=None, help=task_timeout_help
+        "--task-timeout", type=_task_timeout_arg, help=task_timeout_help
     )
     bench.add_argument(
         "--backend",
@@ -1018,7 +1028,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify_p.add_argument("--model-file", metavar="PATH", help=model_file_help)
     verify_p.add_argument("--jobs", type=int, default=None, help=jobs_help)
     verify_p.add_argument(
-        "--task-timeout", type=float, default=None, help=task_timeout_help
+        "--task-timeout", type=_task_timeout_arg, help=task_timeout_help
     )
     verify_p.add_argument(
         "--backend",
@@ -1106,7 +1116,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     compare.add_argument("--jobs", type=int, default=None, help=jobs_help)
     compare.add_argument(
-        "--task-timeout", type=float, default=None, help=task_timeout_help
+        "--task-timeout", type=_task_timeout_arg, help=task_timeout_help
     )
     compare.add_argument("--witness", action="store_true")
 
@@ -1228,7 +1238,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     suite_run.add_argument("--jobs", type=int, default=None, help=jobs_help)
     suite_run.add_argument(
-        "--task-timeout", type=float, default=None, help=task_timeout_help
+        "--task-timeout", type=_task_timeout_arg, help=task_timeout_help
     )
     suite_run.add_argument(
         "--force",
@@ -1363,7 +1373,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: $REPRO_SUITE_CACHE_DIR or .repro/suite-cache)",
     )
     serve_p.add_argument(
-        "--task-timeout", type=float, default=None, help=task_timeout_help
+        "--task-timeout", type=_task_timeout_arg, help=task_timeout_help
     )
     serve_p.add_argument(
         "--save-runs",
@@ -1405,7 +1415,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--task-timeout",
-            type=float,
+            type=_task_timeout_arg,
             default=None,
             help="per-job hang-recovery timeout in seconds",
         )

@@ -7,7 +7,24 @@ incremental consistency checking can be turned off (A2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+
+def check_task_timeout(value: float | None) -> float | None:
+    """The one rule for a ``task_timeout``: None (no timeout) or a
+    finite number of seconds > 0.  Returns ``value``; anything else is
+    a :class:`ValueError` naming ``task_timeout``.
+
+    ``value <= 0`` alone is not enough: NaN compares False with every
+    number, so it would pass and turn each supervisor wait into a
+    zero-second poll that never expires a hung task.
+    """
+    if value is not None and not (math.isfinite(value) and value > 0):
+        raise ValueError(
+            f"task_timeout must be a finite number > 0 or None, got {value}"
+        )
+    return value
 
 
 @dataclass(frozen=True)
@@ -78,10 +95,7 @@ class ExplorationOptions:
             raise ValueError(
                 f"oversubscription must be >= 1, got {self.oversubscription}"
             )
-        if self.task_timeout is not None and self.task_timeout <= 0:
-            raise ValueError(
-                f"task_timeout must be positive or None, got {self.task_timeout}"
-            )
+        check_task_timeout(self.task_timeout)
         if self.task_retries < 0:
             raise ValueError(
                 f"task_retries must be >= 0, got {self.task_retries}"

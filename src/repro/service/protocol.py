@@ -43,7 +43,7 @@ import threading
 import time
 import uuid
 
-from ..core.config import ExplorationOptions
+from ..core.config import ExplorationOptions, check_task_timeout
 from ..obs.spans import make_span, new_trace_id
 
 #: bump on incompatible changes to the submit/status/result schemas
@@ -157,9 +157,10 @@ def parse_task_timeout(value) -> float | None:
         return None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ProtocolError("task_timeout must be a number of seconds")
-    if value <= 0:
-        raise ProtocolError("task_timeout must be positive")
-    return float(value)
+    try:
+        return float(check_task_timeout(value))
+    except ValueError as exc:
+        raise ProtocolError(str(exc)) from None
 
 
 def _source_text(value, what: str) -> str:

@@ -31,7 +31,11 @@ import time
 
 from dataclasses import dataclass
 
-from ..core.config import ExplorationOptions, resolve_options
+from ..core.config import (
+    ExplorationOptions,
+    check_task_timeout,
+    resolve_options,
+)
 from ..core.explorer import effective_jobs
 from ..core.parallel import PoolSupervisor, _model_spec, run_task
 from ..core.report import from_dict
@@ -210,7 +214,8 @@ def run_suite(
     ``.repro/suite-cache``), or False to disable caching.  ``force``
     recomputes everything; ``rerun_failed`` recomputes only tasks whose
     cached result has errors or was truncated.  ``task_timeout`` /
-    ``task_retries`` are the pool's PR-3 fault knobs.
+    ``task_retries`` are the pool's fault knobs; ``task_timeout``
+    follows :func:`~repro.core.config.check_task_timeout`.
 
     ``supervisor`` lets a long-lived caller (the verification service)
     pass its own persistent :class:`~repro.core.parallel.PoolSupervisor`
@@ -221,6 +226,7 @@ def run_suite(
     suite run is random.  A pooled run never splits a task; use
     ``verify(jobs=N)`` to spread one search over workers.
     """
+    check_task_timeout(task_timeout)
     tasks = list(tasks)
     start = time.perf_counter()
     jobs = effective_jobs(ExplorationOptions(jobs=jobs))

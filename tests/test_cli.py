@@ -54,6 +54,31 @@ class TestVerify:
         assert main(["verify", "nope"]) == 2
 
 
+class TestTaskTimeoutFlag:
+    COMMANDS = (
+        ["litmus", "SB"],
+        ["bench", "sb"],
+        ["verify", "SB"],
+        ["compare", "sb"],
+        ["suite", "run", "--litmus", "SB"],
+        ["serve"],
+        ["submit", "litmus", "SB"],
+    )
+
+    def test_every_flag_checks_at_parse_time(self, capsys):
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        for command in self.COMMANDS:
+            args = parser.parse_args(command + ["--task-timeout", "2.5"])
+            assert args.task_timeout == 2.5
+            for bad in ("nan", "inf", "0", "-1", "soon"):
+                with pytest.raises(SystemExit) as info:
+                    parser.parse_args(command + ["--task-timeout", bad])
+                assert info.value.code == 2
+                assert "--task-timeout" in capsys.readouterr().err
+
+
 class TestExperiment:
     def test_unknown_experiment(self):
         assert main(["experiment", "zz"]) == 2

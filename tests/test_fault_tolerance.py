@@ -527,13 +527,28 @@ class TestCancellationAccounting:
         assert folded_runs == collected
 
 
+BAD_TASK_TIMEOUTS = (float("nan"), float("inf"), 0, -1)
+
+
 class TestOptionValidation:
     def test_task_timeout_positive(self):
-        with pytest.raises(ValueError, match="task_timeout"):
-            ExplorationOptions(task_timeout=0)
-        with pytest.raises(ValueError, match="task_timeout"):
-            ExplorationOptions(task_timeout=-1.0)
+        for bad in BAD_TASK_TIMEOUTS:
+            with pytest.raises(ValueError, match="task_timeout"):
+                ExplorationOptions(task_timeout=bad)
         assert ExplorationOptions(task_timeout=2.5).task_timeout == 2.5
+        assert ExplorationOptions(task_timeout=None).task_timeout is None
+
+    def test_run_suite_checks_task_timeout(self, tmp_path):
+        # rejected before any task runs: a NaN deadline never expires
+        # and a negative one times every task out into the fallback
+        from repro.suite import litmus_task, run_suite
+
+        tasks = [litmus_task("SB", "tso"), litmus_task("MP", "tso")]
+        for bad in BAD_TASK_TIMEOUTS:
+            with pytest.raises(ValueError, match="task_timeout"):
+                run_suite(
+                    tasks, jobs=2, task_timeout=bad, cache=str(tmp_path)
+                )
 
     def test_task_retries_non_negative(self):
         with pytest.raises(ValueError, match="task_retries"):

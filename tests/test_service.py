@@ -139,10 +139,11 @@ class TestProtocol:
             )
 
     def test_rejects_bad_task_timeout(self):
-        with pytest.raises(ProtocolError, match="task_timeout"):
-            validate_submit(
-                {"kind": "litmus", "test": "SB", "task_timeout": -1}
-            )
+        for bad in (-1, 0, float("nan"), float("inf"), "30", True):
+            with pytest.raises(ProtocolError, match="task_timeout"):
+                validate_submit(
+                    {"kind": "litmus", "test": "SB", "task_timeout": bad}
+                )
 
     def test_rejects_broken_cat_model(self):
         with pytest.raises(ProtocolError, match=".cat model"):
@@ -585,6 +586,26 @@ class TestBackpressureAndErrors:
         with pytest.raises(ServiceError) as info:
             client.submit({"kind": "litmus", "test": "NOPE"})
         assert info.value.status == 400
+
+    def test_nan_task_timeout_is_400(self, frozen):
+        # json.loads takes a bare NaN, and NaN <= 0 is False
+        svc, _client = frozen
+        conn = http.client.HTTPConnection(
+            urlsplit(svc.url).netloc, timeout=10
+        )
+        try:
+            conn.request(
+                "POST",
+                "/v1/jobs",
+                body=b'{"kind": "litmus", "test": "SB", "task_timeout": NaN}',
+                headers={"Content-Type": "application/json"},
+            )
+            response = conn.getresponse()
+            body = json.loads(response.read())
+        finally:
+            conn.close()
+        assert response.status == 400
+        assert "task_timeout" in body["error"]
 
     def test_draining_rejects_submissions_and_flips_readyz(self, frozen):
         svc, client = frozen
