@@ -214,10 +214,11 @@ class ResultCache:
         # the publish atomic either way (last writer wins, and a reader
         # only ever sees a complete entry)
         tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+        # json.dump always runs the pure-Python encoder; dumps uses C
+        text = json.dumps(entry, sort_keys=True) + "\n"
         try:
             with open(tmp, "w") as handle:
-                json.dump(entry, handle, sort_keys=True)
-                handle.write("\n")
+                handle.write(text)
             os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):  # pragma: no cover - error path
