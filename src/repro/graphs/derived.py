@@ -55,7 +55,12 @@ def graph_cached(fn):
     common, extend-only case — it also feeds the incremental
     acyclicity checker), while ``@fn.register_incremental`` takes a
     full ``(graph, old, deltas) -> Relation`` updater for relations
-    with structure beyond added pairs.
+    with structure beyond added pairs.  A delta rule registered with
+    ``@fn.register_delta_pairs(forward=True)`` promises that every
+    pair ``(a, b)`` it emits has ``b`` equal to the delta's event or
+    added after it, and ``a`` added before ``b``: such edges can never
+    close a cycle, which lets :func:`~repro.graphs.incremental.acyclic_check`
+    certify an all-forward family without looking at its deltas.
 
     When a profiling registry is active (see :mod:`repro.obs.profile`)
     each call is attributed: memo hits bump ``relation:<name>:memo_hit``,
@@ -104,8 +109,11 @@ def graph_cached(fn):
         graph._derived[name] = (version, value)
         return value
 
-    def register_delta_pairs(pair_fn):
+    def register_delta_pairs(pair_fn=None, *, forward=False):
+        if pair_fn is None:
+            return lambda fn: register_delta_pairs(fn, forward=forward)
         wrapper.delta_pairs = pair_fn
+        wrapper.forward = forward
 
         def update(graph, old, deltas):
             pairs = [
@@ -124,6 +132,7 @@ def graph_cached(fn):
     wrapper.__doc__ = fn.__doc__
     wrapper.__wrapped__ = fn
     wrapper.delta_pairs = None
+    wrapper.forward = False
     wrapper.incremental_update = None
     wrapper.register_delta_pairs = register_delta_pairs
     wrapper.register_incremental = register_incremental
@@ -146,7 +155,7 @@ def po(graph: ExecutionGraph) -> Relation:
     return rel
 
 
-@po.register_delta_pairs
+@po.register_delta_pairs(forward=True)
 def _po_delta(graph, delta):
     if delta[0] != "event":
         return ()
@@ -214,7 +223,7 @@ def rf(graph: ExecutionGraph) -> Relation:
     return Relation((w, r) for r, w in graph.rf_map().items())
 
 
-@rf.register_delta_pairs
+@rf.register_delta_pairs(forward=True)
 def _rf_delta(graph, delta):
     if delta[0] != "event":
         return ()
@@ -230,7 +239,7 @@ def rfe(graph: ExecutionGraph) -> Relation:
     )
 
 
-@rfe.register_delta_pairs
+@rfe.register_delta_pairs(forward=True)
 def _rfe_delta(graph, delta):
     return [
         (w, r) for w, r in _rf_delta(graph, delta) if not same_thread(w, r)

@@ -36,10 +36,14 @@ holds the pieces that turn those checks into per-delta work:
   arithmetic — falls back to the full DFS of
   :meth:`Relation.is_acyclic` and rebuilds the order, so verdicts —
   and the :meth:`Relation.find_cycle` explanations diagnosis derives
-  from the built relation — are unchanged.
+  from the built relation — are unchanged.  A family whose components
+  all have *forward* delta rules needs no order at all: its added
+  edges cannot close a cycle, so a descendant is certified by
+  re-tagging the verified version.
 
 Profile counters (live under ``--stats``): ``acyclic:incremental_hit``
-when a stored order absorbs the inserted edges,``acyclic:fallback``
+when a stored order absorbs the inserted edges or a forward family is
+re-tagged, ``acyclic:fallback``
 when it cannot and the full DFS runs instead, and (from
 :mod:`repro.graphs.derived`) ``relation:<name>:incremental_hit`` when
 a cached relation is extended rather than recomputed.
@@ -50,6 +54,7 @@ from __future__ import annotations
 import os
 from typing import Callable, Iterable
 
+from ..events import ReadLabel, WriteLabel
 from ..obs.profile import _STATE as _PROFILE
 from ..relations import Relation
 from .graph import ExecutionGraph
@@ -136,9 +141,10 @@ class AcyclicFamily:
     """A named acyclicity obligation: the union of ``components`` (all
     :func:`graph_cached` wrappers with registered delta functions) must
     be acyclic.  ``build`` materialises the union for full checks and
-    diagnosis."""
+    diagnosis.  A family is ``forward`` when every component's delta
+    rule is (see :func:`graph_cached`)."""
 
-    __slots__ = ("name", "components", "build")
+    __slots__ = ("name", "components", "build", "forward")
 
     def __init__(
         self,
@@ -156,6 +162,7 @@ class AcyclicFamily:
         self.name = name
         self.components = components
         self.build = build
+        self.forward = all(component.forward for component in components)
 
 
 def acyclic_check(graph: ExecutionGraph, family: AcyclicFamily) -> bool:
@@ -167,6 +174,13 @@ def acyclic_check(graph: ExecutionGraph, family: AcyclicFamily) -> bool:
     check — typically on a child copy one event larger — verifies only
     the inserted edges.  Cyclic graphs store nothing: the exploration
     discards them.
+
+    A forward family stores only the verified version: every edge its
+    components add after that version goes from an older event to a
+    newer one, so the added events, in the order they were added,
+    extend any topological order of the verified union.  A descendant
+    with a live delta log is therefore acyclic without a look at its
+    deltas.
     """
     if not _FLAGS.enabled:
         return family.build(graph).is_acyclic()
@@ -181,7 +195,12 @@ def acyclic_check(graph: ExecutionGraph, family: AcyclicFamily) -> bool:
             verdict = True
         else:
             deltas = graph.deltas_since(state[0])
-            if deltas is not None:
+            if deltas is not None and family.forward:
+                if _FLAGS.differential:
+                    _check_forward(graph, family, deltas)
+                graph._aux[key] = (version,)
+                verdict = True
+            elif deltas is not None:
                 added: list[tuple] = []
                 for delta in deltas:
                     for component in family.components:
@@ -256,6 +275,11 @@ def acyclic_check(graph: ExecutionGraph, family: AcyclicFamily) -> bool:
                 )
             return True
     rel = family.build(graph)
+    if family.forward:
+        if not rel.is_acyclic():
+            return False
+        graph._aux[key] = (version,)
+        return True
     # DFS roots in stamp (addition) order: ties in the resulting order
     # lean towards the order events entered the graph, which is the
     # order future edges overwhelmingly point in — so child copies'
@@ -271,6 +295,30 @@ def acyclic_check(graph: ExecutionGraph, family: AcyclicFamily) -> bool:
     }
     graph._aux[key] = (version, order, float(len(order)), rel, ())
     return True
+
+
+def _check_forward(
+    graph: ExecutionGraph, family: AcyclicFamily, deltas: list
+) -> None:
+    """Differential-mode assertion behind a forward certification:
+    every pair the components emit for ``deltas`` ends at the delta's
+    event or an event added after it, and starts at an event added
+    before its end (events older than ``deltas`` come first)."""
+    added: dict = {}
+    for position, delta in enumerate(deltas):
+        if delta[0] != "co":
+            added[delta[1]] = position
+    for delta in deltas:
+        floor = added[delta[1]]
+        for component in family.components:
+            for a, b in component.delta_pairs(graph, delta):
+                end = added.get(b, -1)
+                if end < floor or added.get(a, -1) >= end:
+                    raise IncrementalMismatch(
+                        f"acyclic family {family.name!r}: forward component "
+                        f"{component.__name__!r} emitted ({a!r}, {b!r}) "
+                        f"for delta {delta!r}"
+                    )
 
 
 class _Adjacency:
@@ -439,9 +487,7 @@ def _shift_after(
     return True, top
 
 
-def coherent_check(
-    graph: ExecutionGraph, name: str, hb: Relation, eco_rel: Relation
-) -> bool:
+def coherent_check(graph: ExecutionGraph, name: str, hb: Relation) -> bool:
     """Is ``hb ; eco`` irreflexive on ``graph`` (the COH obligation)?
 
     Verdicts are identical to scanning every ``hb`` pair, but on a
@@ -451,8 +497,11 @@ def coherent_check(
     and every new ``eco`` pair touches the delta event.  A violation
     ``a ->hb b ->eco a`` therefore involves a fresh ``b`` — caught by
     walking ``b``'s ``eco`` successors and asking whether any of them
-    ``hb``-reaches ``b``.  ``co`` reorderings ride along: the inserted
-    write appears as its own ``event`` delta in the same range.
+    ``hb``-reaches ``b``.  The walk reads those successors off the rf
+    map and the coherence orders (:func:`_eco_successors`), so this
+    path never materialises ``eco``.  ``co`` reorderings ride along:
+    the inserted write appears as its own ``event`` delta in the same
+    range.
 
     Passing graphs store the verified version (as a 1-tuple — the
     ``_aux`` protocol keys delta-log trimming off ``entry[0]``) under
@@ -471,12 +520,18 @@ def coherent_check(
             if deltas is not None:
                 verdict = True
                 hb_succ = hb._succ
-                eco_succ = eco_rel._succ
                 for delta in deltas:
                     if delta[0] == "co":
                         continue  # its write is an "event" delta too
                     ev = delta[1]
-                    for x in eco_succ.get(ev, ()):
+                    successors = _eco_successors(graph, ev)
+                    if _FLAGS.differential:
+                        check_equal(
+                            "eco successors",
+                            successors,
+                            _eco(graph).successors(ev),
+                        )
+                    for x in successors:
                         peers = hb_succ.get(x)
                         if peers is not None and ev in peers:
                             verdict = False
@@ -488,9 +543,8 @@ def coherent_check(
             if reg is not None:
                 reg.inc("coherent:incremental_hit")
             if _FLAGS.differential:
-                full = all(
-                    (b, a) not in eco_rel for a, b in hb.pairs()
-                )
+                eco_rel = _eco(graph)
+                full = all((b, a) not in eco_rel for a, b in hb.pairs())
                 if full != verdict:
                     raise IncrementalMismatch(
                         f"incremental COH of {name!r} said {verdict}; "
@@ -499,7 +553,39 @@ def coherent_check(
             if verdict:
                 graph._aux[key] = (version,)
             return verdict
+    eco_rel = _eco(graph)
     ok = all((b, a) not in eco_rel for a, b in hb.pairs())
     if ok:
         graph._aux[key] = (version,)
     return ok
+
+
+def _eco(graph: ExecutionGraph) -> Relation:
+    from .derived import eco  # derived imports this module
+
+    return eco(graph)
+
+
+def _eco_successors(graph: ExecutionGraph, ev) -> set:
+    """``ev``'s successors in eco = rf ∪ co ∪ fr ∪ co;rf ∪ fr;rf (the
+    closure identity of :func:`repro.graphs.derived.eco`), read off the
+    graph's rf map and coherence orders.  A write reaches the writes
+    coherence-after it and the readers of itself and of those writes;
+    a read reaches the writes coherence-after its source and their
+    readers."""
+    lab = graph._labels[ev]
+    if isinstance(lab, WriteLabel):
+        order = graph._co[lab.loc]
+        later = order[order.index(ev) + 1:]
+        sources = {ev, *later}
+    elif isinstance(lab, ReadLabel):
+        order = graph._co[lab.loc]
+        later = order[order.index(graph._rf[ev]) + 1:]
+        if not later:
+            return set()
+        sources = set(later)
+    else:
+        return set()
+    out = set(later)
+    out.update(read for read, src in graph._rf.items() if src in sources)
+    return out

@@ -10,7 +10,7 @@ from __future__ import annotations
 from ..events import Event, FenceKind, FenceLabel, MemOrder, ReadLabel, WriteLabel
 from ..graphs import ExecutionGraph
 from ..graphs.derived import eco, graph_cached, po, rf
-from ..graphs.incremental import AcyclicFamily
+from ..graphs.incremental import _FLAGS, AcyclicFamily, check_equal
 from ..relations import Relation, bracket, optional, seq, union
 
 #: the C11 strength of each hardware fence, following the standard
@@ -124,7 +124,7 @@ def _sync_sources(graph: ExecutionGraph, member: Event) -> set[Event]:
     return sources
 
 
-@synchronizes_with.register_delta_pairs
+@synchronizes_with.register_delta_pairs(forward=True)
 def _sw_delta(graph, delta):
     # sw pairs only ever *appear* as events are added, and a pair's
     # last-added constituent is either the reader (when the acquire
@@ -241,10 +241,37 @@ HB_FAMILY = AcyclicFamily(
 
 def sc_events(graph: ExecutionGraph, accesses: bool = True) -> list[Event]:
     """Events participating in the SC axiom: SC-ordered accesses (when
-    ``accesses``) and fences whose C11 strength is seq_cst."""
+    ``accesses``) and fences whose C11 strength is seq_cst.
+
+    The list, in event order, is kept per lineage in ``graph._aux`` and
+    extended from the delta log, so a child copy scans only the events
+    added since its ancestor's entry."""
+    if not _FLAGS.enabled:
+        return _sc_scan(graph, graph.events(), accesses)
+    key = "sc:events" if accesses else "sc:fences"
+    version = graph._version
+    entry = graph._aux.get(key)
+    if entry is not None and entry[0] == version:
+        return list(entry[1])
+    deltas = graph.deltas_since(entry[0]) if entry is not None else None
+    if deltas is None:
+        found = tuple(_sc_scan(graph, graph.events(), accesses))
+    else:
+        fresh = (delta[1] for delta in deltas if delta[0] != "co")
+        found = entry[1] + tuple(_sc_scan(graph, fresh, accesses))
+        if _FLAGS.differential:
+            check_equal(
+                key, list(found), _sc_scan(graph, graph.events(), accesses)
+            )
+    graph._aux[key] = (version, found)
+    return list(found)
+
+
+def _sc_scan(graph: ExecutionGraph, events, accesses: bool) -> list[Event]:
     out = []
-    for e in graph.events():
-        lab = graph.label(e)
+    labels = graph._labels
+    for e in events:
+        lab = labels[e]
         if isinstance(lab, FenceLabel):
             if fence_c11_order(lab).is_sc():
                 out.append(e)

@@ -147,7 +147,7 @@ def fence_ordered_po(graph: ExecutionGraph) -> Relation:
     return rel
 
 
-@fence_ordered_po.register_delta_pairs
+@fence_ordered_po.register_delta_pairs(forward=True)
 def _fence_ordered_po_delta(graph, delta):
     # thread prefixes are append-only, so a new event only gains pairs
     # in which it is the *later* access
@@ -195,7 +195,7 @@ def acquire_release_po(graph: ExecutionGraph) -> Relation:
     return rel
 
 
-@acquire_release_po.register_delta_pairs
+@acquire_release_po.register_delta_pairs(forward=True)
 def _acquire_release_po_delta(graph, delta):
     if delta[0] != "event":
         return ()
@@ -232,7 +232,7 @@ def ppo_dependencies(graph: ExecutionGraph) -> Relation:
     return base.transitive_closure()
 
 
-@ppo_dependencies.register_delta_pairs
+@ppo_dependencies.register_delta_pairs(forward=True)
 def _ppo_dependencies_delta(graph, delta):
     # closure pairs always end at the newer event (base edges only
     # point *into* a new event), so the pairs a delta contributed are

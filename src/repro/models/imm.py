@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from ..events import Event
 from ..graphs import ExecutionGraph
-from ..graphs.derived import eco, rfe
+from ..graphs.derived import rfe
 from ..graphs.incremental import AcyclicFamily, acyclic_check, coherent_check
 from ..relations import union
 from .base import MemoryModel
@@ -59,7 +59,7 @@ class IMM(MemoryModel):
         if not acyclic_check(graph, HB_FAMILY):
             return False
         hb = hb_c11(graph)
-        if not coherent_check(graph, "imm", hb, eco(graph)):  # COH
+        if not coherent_check(graph, "imm", hb):  # COH
             return False
         if not psc_acyclic(graph, hb, sc_events(graph)):  # SC axiom
             return False

@@ -9,16 +9,9 @@ something eco-before it.
 from __future__ import annotations
 
 from ..graphs import ExecutionGraph
-from ..graphs.derived import eco
 from ..graphs.incremental import acyclic_check, coherent_check
-from ..relations import Relation
 from .base import MemoryModel
 from .c11 import PORF_FAMILY, psc_acyclic, sc_events, strong_happens_before
-
-
-def hb_coherent(hb: Relation, eco_rel: Relation) -> bool:
-    """irreflexive(hb ; eco): eco must not contradict happens-before."""
-    return all((b, a) not in eco_rel for a, b in hb.pairs())
 
 
 class ReleaseAcquire(MemoryModel):
@@ -32,7 +25,7 @@ class ReleaseAcquire(MemoryModel):
         if not acyclic_check(graph, PORF_FAMILY):
             return False
         hb = strong_happens_before(graph)
-        if not coherent_check(graph, "ra", hb, eco(graph)):
+        if not coherent_check(graph, "ra", hb):
             return False
         # RA has no SC *accesses* (they degrade to rel/acq), but SC
         # fences still restore order between the events around them

@@ -11,7 +11,6 @@ axiom, which is exactly the gap HMC targets.
 from __future__ import annotations
 
 from ..graphs import ExecutionGraph
-from ..graphs.derived import eco
 from ..graphs.incremental import acyclic_check, coherent_check
 from .base import MemoryModel
 from .c11 import HB_FAMILY, PORF_FAMILY, hb_c11, psc_acyclic, sc_events
@@ -30,6 +29,6 @@ class RC11(MemoryModel):
         if not acyclic_check(graph, HB_FAMILY):
             return False
         hb = hb_c11(graph)
-        if not coherent_check(graph, "rc11", hb, eco(graph)):  # COH
+        if not coherent_check(graph, "rc11", hb):  # COH
             return False
         return psc_acyclic(graph, hb, sc_events(graph))

@@ -8,6 +8,7 @@ from repro.events import (
     WriteLabel,
 )
 from repro.graphs import ExecutionGraph
+from repro.graphs.incremental import set_incremental
 from repro.models.c11 import (
     fence_c11_order,
     happens_before,
@@ -95,6 +96,28 @@ class TestScEvents:
         w = g.add_write(0, WriteLabel(loc="x", value=1, order=MemOrder.SC))
         assert sc_events(g) == [w]
         assert sc_events(g, accesses=False) == []
+
+    def test_child_copy_extends_the_parent_list(self):
+        g = ExecutionGraph(["x", "y"])
+        w = g.add_write(0, WriteLabel(loc="x", value=1, order=MemOrder.SC))
+        g.add_read(1, ReadLabel(loc="x"), w)
+        assert sc_events(g) == [w]
+        assert sc_events(g, accesses=False) == []
+        child = g.copy()
+        f = child.add_fence(1, FenceLabel(kind=FenceKind.C11, order=MemOrder.SC))
+        r = child.add_read(
+            1, ReadLabel(loc="y", order=MemOrder.SC), child.init_write("y")
+        )
+        incremental = (sc_events(child), sc_events(child, accesses=False))
+        assert incremental == ([w, f, r], [f])
+        set_incremental(False)
+        try:
+            scan = (sc_events(child), sc_events(child, accesses=False))
+        finally:
+            set_incremental(True)
+        assert incremental == scan
+        # the parent's lists are untouched
+        assert sc_events(g) == [w]
 
 
 class TestFenceCorrespondence:
