@@ -67,16 +67,23 @@ def client(service):
 
 
 @pytest.fixture
-def wire(monkeypatch):
+def wire(service, monkeypatch):
     """What the server's handlers saw: one ``opened`` and one
-    ``closed`` entry per connection, one ``request`` per request."""
+    ``closed`` entry per connection, one ``request`` per request.
+
+    Only ``service``'s own handlers count: a connection an earlier
+    test left open is still served by a ``_Handler`` after its server
+    stopped, and closes whenever its client is collected or its idle
+    timeout runs out.
+    """
     seen = []
 
     def count(name, entry):
         original = getattr(server._Handler, name)
 
         def counted(self):
-            seen.append(entry)
+            if self.server is service.httpd:
+                seen.append(entry)
             return original(self)
 
         monkeypatch.setattr(server._Handler, name, counted)
