@@ -41,7 +41,8 @@ from .incremental import _FLAGS, check_equal
 
 
 def graph_cached(fn):
-    """Memoise a Relation-valued function of one graph.
+    """Memoise a Relation-valued function of one graph (or a map-valued
+    one, like the hb-predecessor maps of :mod:`repro.models.c11`).
 
     Entries live in ``graph._derived`` keyed by name and tagged with
     the graph's lineage version, so a copied graph starts out with its

@@ -39,12 +39,24 @@ holds the pieces that turn those checks into per-delta work:
   from the built relation — are unchanged.  A family whose components
   all have *forward* delta rules needs no order at all: its added
   edges cannot close a cycle, so a descendant is certified by
-  re-tagging the verified version.
+  re-tagging the verified version.  The families that keep the order
+  are those with a ``co`` or ``fr`` component (sc, tso, pso,
+  armv8-ob).
+
+* **COH.**  :func:`coherent_check` verifies ``irreflexive(hb ; eco)``
+  only for the events appended since the last verdict, with hb given
+  as each event's set of hb-predecessors (see
+  :func:`repro.models.c11.hb_pred`).
+
+SC-per-location and RMW atomicity, which every model checks, need no
+order either: :mod:`repro.models.common` checks them per appended
+event and per coherence insertion with the same verified-version tag.
 
 Profile counters (live under ``--stats``): ``acyclic:incremental_hit``
 when a stored order absorbs the inserted edges or a forward family is
-re-tagged, ``acyclic:fallback``
-when it cannot and the full DFS runs instead, and (from
+re-tagged, ``acyclic:fallback`` when a lineage cut strands the stored
+state or the order cannot absorb the edges, and the full DFS runs
+instead, ``coherent:incremental_hit`` for COH, and (from
 :mod:`repro.graphs.derived`) ``relation:<name>:incremental_hit`` when
 a cached relation is extended rather than recomputed.
 """
@@ -120,6 +132,12 @@ def check_equal(name: str, incremental, scratch) -> None:
     equal.  Works for relations and event sets alike."""
     if incremental == scratch:
         return
+    if isinstance(incremental, dict) and isinstance(scratch, dict):
+        # predecessor maps: compare as (predecessor, event) pairs
+        incremental, scratch = (
+            Relation((a, b) for b, preds in m.items() for a in preds)
+            for m in (incremental, scratch)
+        )
     if isinstance(incremental, Relation) and isinstance(scratch, Relation):
         inc_pairs, ref_pairs = set(incremental.pairs()), set(scratch.pairs())
         missing = sorted(map(repr, ref_pairs - inc_pairs))[:6]
@@ -195,12 +213,16 @@ def acyclic_check(graph: ExecutionGraph, family: AcyclicFamily) -> bool:
             verdict = True
         else:
             deltas = graph.deltas_since(state[0])
-            if deltas is not None and family.forward:
+            if deltas is None:
+                # a lineage cut (set_rf, from_parts) strands the state
+                if reg is not None:
+                    reg.inc("acyclic:fallback")
+            elif family.forward:
                 if _FLAGS.differential:
                     _check_forward(graph, family, deltas)
                 graph._aux[key] = (version,)
                 verdict = True
-            elif deltas is not None:
+            else:
                 added: list[tuple] = []
                 for delta in deltas:
                     for component in family.components:
@@ -487,21 +509,21 @@ def _shift_after(
     return True, top
 
 
-def coherent_check(graph: ExecutionGraph, name: str, hb: Relation) -> bool:
+def coherent_check(graph: ExecutionGraph, name: str, hb_preds: dict) -> bool:
     """Is ``hb ; eco`` irreflexive on ``graph`` (the COH obligation)?
+    ``hb_preds`` maps every event to the set of its hb-predecessors.
 
-    Verdicts are identical to scanning every ``hb`` pair, but on a
-    live delta log only the *fresh* events need checking: every event
+    Verdicts are identical to scanning every event, but on a live
+    delta log only the *fresh* events need checking: every event
     appended since the last verdict has no outgoing ``po``/``sw`` edge
     to an older event, so every new ``hb`` pair ends at a fresh event,
     and every new ``eco`` pair touches the delta event.  A violation
     ``a ->hb b ->eco a`` therefore involves a fresh ``b`` — caught by
-    walking ``b``'s ``eco`` successors and asking whether any of them
-    ``hb``-reaches ``b``.  The walk reads those successors off the rf
-    map and the coherence orders (:func:`_eco_successors`), so this
-    path never materialises ``eco``.  ``co`` reorderings ride along:
-    the inserted write appears as its own ``event`` delta in the same
-    range.
+    asking whether ``b``'s hb-predecessors meet its ``eco``
+    successors.  The walk reads those successors off the rf map and
+    the coherence orders (:func:`_eco_successors`), so this path never
+    materialises ``eco``.  ``co`` reorderings ride along: the inserted
+    write appears as its own ``event`` delta in the same range.
 
     Passing graphs store the verified version (as a 1-tuple — the
     ``_aux`` protocol keys delta-log trimming off ``entry[0]``) under
@@ -511,53 +533,41 @@ def coherent_check(graph: ExecutionGraph, name: str, hb: Relation) -> bool:
     key = "coh:" + name
     version = graph._version
     state = graph._aux.get(key) if _FLAGS.enabled else None
-    if state is not None:
-        verdict = None
-        if state[0] == version:
-            verdict = True
-        else:
-            deltas = graph.deltas_since(state[0])
-            if deltas is not None:
-                verdict = True
-                hb_succ = hb._succ
-                for delta in deltas:
-                    if delta[0] == "co":
-                        continue  # its write is an "event" delta too
-                    ev = delta[1]
-                    successors = _eco_successors(graph, ev)
-                    if _FLAGS.differential:
-                        check_equal(
-                            "eco successors",
-                            successors,
-                            _eco(graph).successors(ev),
-                        )
-                    for x in successors:
-                        peers = hb_succ.get(x)
-                        if peers is not None and ev in peers:
-                            verdict = False
-                            break
-                    if verdict is False:
-                        break
-        if verdict is not None:
-            reg = _PROFILE.registry
-            if reg is not None:
-                reg.inc("coherent:incremental_hit")
+    deltas = graph.deltas_since(state[0]) if state is not None else None
+    if deltas is not None:
+        verdict = True
+        for delta in deltas:
+            if delta[0] == "co":
+                continue  # its write is an "event" delta too
+            ev = delta[1]
+            successors = _eco_successors(graph, ev)
             if _FLAGS.differential:
-                eco_rel = _eco(graph)
-                full = all((b, a) not in eco_rel for a, b in hb.pairs())
-                if full != verdict:
-                    raise IncrementalMismatch(
-                        f"incremental COH of {name!r} said {verdict}; "
-                        f"full scan says {full}"
-                    )
-            if verdict:
-                graph._aux[key] = (version,)
-            return verdict
-    eco_rel = _eco(graph)
-    ok = all((b, a) not in eco_rel for a, b in hb.pairs())
-    if ok:
+                check_equal(
+                    "eco successors", successors, _eco(graph).successors(ev)
+                )
+            if not hb_preds[ev].isdisjoint(successors):
+                verdict = False
+                break
+        reg = _PROFILE.registry
+        if reg is not None:
+            reg.inc("coherent:incremental_hit")
+        if _FLAGS.differential and _coherent_scan(graph, hb_preds) != verdict:
+            raise IncrementalMismatch(
+                f"incremental COH of {name!r} said {verdict}; "
+                "full scan disagrees"
+            )
+    else:
+        verdict = _coherent_scan(graph, hb_preds)
+    if verdict:
         graph._aux[key] = (version,)
-    return ok
+    return verdict
+
+
+def _coherent_scan(graph: ExecutionGraph, hb_preds: dict) -> bool:
+    succ = _eco(graph)._succ
+    return all(
+        preds.isdisjoint(succ.get(ev, ())) for ev, preds in hb_preds.items()
+    )
 
 
 def _eco(graph: ExecutionGraph) -> Relation:

@@ -170,58 +170,76 @@ def happens_before(graph: ExecutionGraph, sw: Relation | None = None) -> Relatio
     return union(po(graph), sw).transitive_closure()
 
 
-@graph_cached
 def hb_c11(graph: ExecutionGraph) -> Relation:
-    """The cached C11 hb = (po ∪ sw)+."""
-    return union(po(graph), synchronizes_with(graph)).transitive_closure()
+    """The C11 hb = (po ∪ sw)+, inverted from :func:`hb_pred`."""
+    return _forward(hb_pred(graph))
 
 
-def _closure_extend(new: Relation, ev: Event, direct: set) -> Relation:
-    """Extend a transitive closure whose base edges only point *into*
-    ``ev``: the closure gains (x, ev) for every direct predecessor and
-    every node that already reaches one."""
-    if not direct:
-        return new
-    preds = set(direct)
-    for x, succs in new._succ.items():
-        if x not in preds and not succs.isdisjoint(direct):
-            preds.add(x)
-    return new.extended((x, ev) for x in preds)
-
-
-@hb_c11.register_incremental
-def _hb_c11_incremental(graph, old, deltas):
-    new = old
-    for delta in deltas:
-        if delta[0] != "event":
-            continue
-        ev = delta[1]
-        direct = set(graph._threads[ev.tid][: ev.index])
-        direct.update(a for a, b in _sw_delta(graph, delta) if b == ev)
-        new = _closure_extend(new, ev, direct)
-    return new
+def strong_happens_before(graph: ExecutionGraph) -> Relation:
+    """hb where *every* rf edge synchronises (the RA model's hb),
+    inverted from :func:`strong_hb_pred`."""
+    return _forward(strong_hb_pred(graph))
 
 
 @graph_cached
-def strong_happens_before(graph: ExecutionGraph) -> Relation:
-    """hb where *every* rf edge synchronises (the RA model's hb)."""
-    return union(po(graph), rf(graph)).transitive_closure()
+def hb_pred(graph: ExecutionGraph) -> dict:
+    """The C11 hb as the map from each event to the frozenset of its
+    hb-predecessors."""
+    return _predecessors(graph, union(po(graph), synchronizes_with(graph)))
 
 
-@strong_happens_before.register_incremental
-def _strong_hb_incremental(graph, old, deltas):
-    new = old
+@hb_pred.register_incremental
+def _hb_pred_incremental(graph, old, deltas):
+    return _extend_predecessors(graph, old, deltas, synchronizes_with)
+
+
+@graph_cached
+def strong_hb_pred(graph: ExecutionGraph) -> dict:
+    """RA's hb = (po ∪ rf)+ as a predecessor map, like :func:`hb_pred`."""
+    return _predecessors(graph, union(po(graph), rf(graph)))
+
+
+@strong_hb_pred.register_incremental
+def _strong_hb_pred_incremental(graph, old, deltas):
+    return _extend_predecessors(graph, old, deltas, rf)
+
+
+def _predecessors(graph: ExecutionGraph, base: Relation) -> dict:
+    """The from-scratch value: ``base+``, inverted, over every event."""
+    preds: dict = {ev: set() for ev in graph._labels}
+    for a, succs in base.transitive_closure()._succ.items():
+        for b in succs:
+            preds[b].add(a)
+    return {ev: frozenset(found) for ev, found in preds.items()}
+
+
+def _extend_predecessors(graph, old: dict, deltas, sync) -> dict:
+    """Extend the predecessor map of (po ∪ ``sync``)+, both forward
+    (every edge they add ends at the appended event or a later one):
+    an appended event's predecessors are its direct predecessors ``d``
+    (its po-predecessor and its ``sync`` sources) together with each
+    ``d``'s predecessors, which are final already.  One new set per
+    event; no other set is copied."""
+    new = dict(old)
     for delta in deltas:
-        if delta[0] != "event":
-            continue
-        ev = delta[1]
-        direct = set(graph._threads[ev.tid][: ev.index])
-        if isinstance(graph._labels[ev], ReadLabel):
-            src = graph._rf.get(ev)
-            if src is not None:
-                direct.add(src)
-        new = _closure_extend(new, ev, direct)
+        kind, ev = delta[0], delta[1]
+        if kind == "init":
+            new[ev] = frozenset()
+        elif kind == "event":
+            direct = [a for a, b in sync.delta_pairs(graph, delta) if b == ev]
+            if ev.index:
+                direct.append(graph._threads[ev.tid][ev.index - 1])
+            new[ev] = frozenset(direct).union(*map(new.__getitem__, direct))
     return new
+
+
+def _forward(preds: dict) -> Relation:
+    """The relation a predecessor map describes."""
+    rel = Relation()
+    for b, found in preds.items():
+        for a in found:
+            rel.add(a, b)
+    return rel
 
 
 #: (po ∪ rf) acyclicity — RC11's porf axiom, and (by the equivalence
@@ -281,11 +299,13 @@ def _sc_scan(graph: ExecutionGraph, events, accesses: bool) -> list[Event]:
     return out
 
 
-def psc_acyclic(graph: ExecutionGraph, hb: Relation, sc: list[Event]) -> bool:
+def psc_acyclic(graph: ExecutionGraph, hb_preds: dict, sc: list[Event]) -> bool:
     """The RC11-style SC axiom: acyclic(psc) with
-    psc = [Esc] ; (hb ∪ hb? ; eco ; hb?) ; [Esc]."""
+    psc = [Esc] ; (hb ∪ hb? ; eco ; hb?) ; [Esc], for hb given as its
+    predecessor map (inverted only when two or more SC events exist)."""
     if len(sc) < 2:
         return True
+    hb = _forward(hb_preds)
     esc = bracket(sc)
     universe = list(graph.events())
     hb_opt = optional(hb, universe)

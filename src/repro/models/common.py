@@ -20,30 +20,157 @@ from ..graphs.derived import (
     rmw_pairs,
     same_thread,
 )
-from ..graphs.incremental import AcyclicFamily, acyclic_check
+from ..graphs.incremental import _FLAGS, IncrementalMismatch
+from ..obs.profile import _STATE as _PROFILE
 from ..relations import Relation, union
 
-#: coherence is checked on *every* model and every step, making it the
-#: incremental acyclicity checker's highest-traffic family
-COHERENCE_FAMILY = AcyclicFamily(
-    "coherence",
-    (po_loc, rf, co, fr),
-    build=lambda g: union(po_loc(g), rf(g), co(g), fr(g)),
-)
+
+def coherence_relation(graph: ExecutionGraph) -> Relation:
+    """po-loc ∪ rf ∪ co ∪ fr, the union SC-per-location requires
+    acyclic: the ``REPRO_INCREMENTAL=0`` check, the differential
+    oracle, and the relation diagnosis extracts a cycle from."""
+    return union(po_loc(graph), rf(graph), co(graph), fr(graph))
 
 
 def sc_per_location(graph: ExecutionGraph) -> bool:
     """Coherence: po-loc ∪ rf ∪ co ∪ fr is acyclic.
 
-    Locations are independent, so this is checked globally; the po-loc
-    component only ever links same-location accesses.
+    Checked by *coherence keys*, not by a cycle search.  A write at
+    index i of its location's co list has key 2i; a read whose rf
+    source sits at index i has key 2i+1.  The union is acyclic iff,
+    in every thread, the keys of the thread's accesses to each
+    location never decrease in program order:
+
+    * rf, co and fr edges strictly raise the key, and the only edge
+      between equal keys is po-loc between two reads of one write, so
+      a cycle would be a po cycle;
+    * a decrease between consecutive same-location accesses of one
+      thread is one of herd's SC-PER-LOCATION shapes (CoWW, CoWR,
+      CoRW1, CoRW2, CoRR), each a cycle.
+
+    On a live delta log only an appended event's pair with its
+    thread's previous access to the same location can newly decrease:
+    events are appended at the end of their thread, a co insertion
+    keeps the existing writes' relative order (so every older
+    comparison keeps its sign), and rf never changes.
     """
-    return acyclic_check(graph, COHERENCE_FAMILY)
+    if not _FLAGS.enabled:
+        return _coherence_acyclic(graph)
+    return _verified(
+        graph, "coh-keys", _keys_rise_at, _keys_rise, _coherence_acyclic
+    )
+
+
+def _coherence_acyclic(graph: ExecutionGraph) -> bool:
+    return coherence_relation(graph).is_acyclic()
 
 
 def atomicity_ok(graph: ExecutionGraph) -> bool:
     """RMW atomicity: no write intervenes, in coherence order, between
-    an exclusive read's source and its exclusive write."""
+    an exclusive read's source and its exclusive write.
+
+    On a live delta log only a coherence insertion can break it: the
+    inserted write is an RMW's write and lands apart from its read's
+    source, or it lands right before an RMW's write, between that
+    RMW's source and its write.  Each ``co`` delta checks those two
+    writes."""
+    if not _FLAGS.enabled:
+        return _atomicity_scan(graph)
+    return _verified(
+        graph, "atomicity", _atomic_at, _atomicity_scan, _atomicity_scan
+    )
+
+
+def _verified(graph, key, on_delta, scan, oracle) -> bool:
+    """Run a check that only its deltas can break: passing graphs store
+    the verified version (a 1-tuple, as the forward acyclicity families
+    do) under ``key`` in ``graph._aux``, and a descendant with a live
+    delta log applies ``on_delta`` to each delta since then.  A graph
+    with no state or a cut lineage runs ``scan``.  Failing graphs
+    store nothing.  Differential mode compares every verdict with
+    ``oracle``."""
+    version = graph._version
+    state = graph._aux.get(key)
+    deltas = graph.deltas_since(state[0]) if state is not None else None
+    if deltas is None:
+        ok = scan(graph)
+    else:
+        ok = True
+        for delta in deltas:
+            if not on_delta(graph, delta):
+                ok = False
+                break
+        reg = _PROFILE.registry
+        if reg is not None:
+            reg.inc("coherence:incremental_hit")
+    if _FLAGS.differential and ok != oracle(graph):
+        raise IncrementalMismatch(
+            f"{key!r} check said {ok}; the from-scratch check disagrees"
+        )
+    if ok:
+        graph._aux[key] = (version,)
+    return ok
+
+
+def _coherence_key(graph: ExecutionGraph, ev: Event, lab) -> int:
+    order = graph._co[lab.loc]
+    if isinstance(lab, WriteLabel):
+        return 2 * order.index(ev)
+    return 2 * order.index(graph._rf[ev]) + 1
+
+
+def _keys_rise(graph: ExecutionGraph) -> bool:
+    """The key rule over the whole graph: one pass over the threads
+    with a per-location position map.  An access with no position (a
+    read without an rf source, or a write or rf source missing from
+    its co list: only ``from_parts`` with inconsistent inputs builds
+    one) is not coherent, as :func:`atomicity_ok` holds an RMW outside
+    its co list to be not atomic."""
+    position = {
+        w: 2 * i for order in graph._co.values() for i, w in enumerate(order)
+    }
+    labels, rf_map = graph._labels, graph._rf
+    for thread in graph._threads.values():
+        last: dict = {}
+        for ev in thread:
+            lab = labels[ev]
+            if isinstance(lab, WriteLabel):
+                key = position.get(ev)
+            elif isinstance(lab, ReadLabel):
+                key = position.get(rf_map.get(ev))
+                if key is not None:
+                    key += 1
+            else:
+                continue
+            if key is None or key < last.get(lab.loc, 0):
+                return False
+            last[lab.loc] = key
+    return True
+
+
+def _keys_rise_at(graph: ExecutionGraph, delta) -> bool:
+    """The key rule for one appended event: its key is no lower than
+    that of its thread's previous access to the same location."""
+    if delta[0] != "event":
+        return True
+    ev = delta[1]
+    labels = graph._labels
+    lab = labels[ev]
+    if not isinstance(lab, (ReadLabel, WriteLabel)):
+        return True
+    loc = lab.loc
+    thread = graph._threads[ev.tid]
+    for index in range(ev.index - 1, -1, -1):
+        prev = thread[index]
+        plab = labels[prev]
+        if isinstance(plab, (ReadLabel, WriteLabel)) and plab.loc == loc:
+            return _coherence_key(graph, prev, plab) <= _coherence_key(
+                graph, ev, lab
+            )
+    return True
+
+
+def _atomicity_scan(graph: ExecutionGraph) -> bool:
     for read, write in rmw_pairs(graph).pairs():
         src = graph.rf(read)
         order = graph.co_order(graph.label(write).location)  # type: ignore[arg-type]
@@ -58,6 +185,31 @@ def atomicity_ok(graph: ExecutionGraph) -> bool:
         if j != i + 1:
             return False
     return True
+
+
+def _atomic_at(graph: ExecutionGraph, delta) -> bool:
+    """Atomicity after one coherence insertion: the inserted write and
+    the write now co-after it each sit right after their read's source
+    if they are RMW writes.  That covers several insertions since the
+    verified version too: an older RMW was atomic there and older
+    writes keep their relative order, so if anything now separates it
+    from its source, the write right before it is an inserted one."""
+    if delta[0] != "co":
+        return True
+    ev = delta[1]
+    order = graph._co[graph._labels[ev].loc]
+    pos = order.index(ev)
+    if not _rmw_adjacent(graph, order, pos):
+        return False
+    return pos + 1 == len(order) or _rmw_adjacent(graph, order, pos + 1)
+
+
+def _rmw_adjacent(graph: ExecutionGraph, order: list, pos: int) -> bool:
+    write = order[pos]
+    if not graph._labels[write].exclusive:
+        return True
+    read = graph.exclusive_pair(write)
+    return read is None or order[pos - 1] == graph._rf.get(read)
 
 
 # -- classifying events -------------------------------------------------------

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 from ..events import Event
 from ..graphs import ExecutionGraph
-from ..graphs.derived import co, fr, po_loc, rf, rmw_pairs
-from ..relations import union
+from ..graphs.derived import rmw_pairs
 from .base import MemoryModel
+from .common import coherence_relation
 
 
 @dataclass(frozen=True)
@@ -43,8 +43,7 @@ def explain_inconsistency(
     graph: ExecutionGraph, model: MemoryModel
 ) -> Diagnosis:
     """Name the axiom a graph violates under ``model``."""
-    coherence = union(po_loc(graph), rf(graph), co(graph), fr(graph))
-    cycle = coherence.find_cycle()
+    cycle = coherence_relation(graph).find_cycle()
     if cycle is not None:
         return Diagnosis(
             consistent=False,

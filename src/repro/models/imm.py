@@ -23,7 +23,7 @@ from ..graphs.derived import rfe
 from ..graphs.incremental import AcyclicFamily, acyclic_check, coherent_check
 from ..relations import union
 from .base import MemoryModel
-from .c11 import HB_FAMILY, hb_c11, psc_acyclic, sc_events
+from .c11 import HB_FAMILY, hb_pred, psc_acyclic, sc_events
 from .common import (
     acquire_release_po,
     fence_ordered_po,
@@ -58,7 +58,7 @@ class IMM(MemoryModel):
         # irreflexive((po ∪ sw)+) ⟺ acyclic(po ∪ sw)
         if not acyclic_check(graph, HB_FAMILY):
             return False
-        hb = hb_c11(graph)
+        hb = hb_pred(graph)
         if not coherent_check(graph, "imm", hb):  # COH
             return False
         if not psc_acyclic(graph, hb, sc_events(graph)):  # SC axiom

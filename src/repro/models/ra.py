@@ -11,7 +11,7 @@ from __future__ import annotations
 from ..graphs import ExecutionGraph
 from ..graphs.incremental import acyclic_check, coherent_check
 from .base import MemoryModel
-from .c11 import PORF_FAMILY, psc_acyclic, sc_events, strong_happens_before
+from .c11 import PORF_FAMILY, psc_acyclic, sc_events, strong_hb_pred
 
 
 class ReleaseAcquire(MemoryModel):
@@ -24,7 +24,7 @@ class ReleaseAcquire(MemoryModel):
         # irreflexive((po ∪ rf)+) ⟺ acyclic(po ∪ rf)
         if not acyclic_check(graph, PORF_FAMILY):
             return False
-        hb = strong_happens_before(graph)
+        hb = strong_hb_pred(graph)
         if not coherent_check(graph, "ra", hb):
             return False
         # RA has no SC *accesses* (they degrade to rel/acq), but SC

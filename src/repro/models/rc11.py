@@ -13,7 +13,7 @@ from __future__ import annotations
 from ..graphs import ExecutionGraph
 from ..graphs.incremental import acyclic_check, coherent_check
 from .base import MemoryModel
-from .c11 import HB_FAMILY, PORF_FAMILY, hb_c11, psc_acyclic, sc_events
+from .c11 import HB_FAMILY, PORF_FAMILY, hb_pred, psc_acyclic, sc_events
 
 
 class RC11(MemoryModel):
@@ -28,7 +28,7 @@ class RC11(MemoryModel):
         # irreflexive((po ∪ sw)+) ⟺ acyclic(po ∪ sw)
         if not acyclic_check(graph, HB_FAMILY):
             return False
-        hb = hb_c11(graph)
+        hb = hb_pred(graph)
         if not coherent_check(graph, "rc11", hb):  # COH
             return False
         return psc_acyclic(graph, hb, sc_events(graph))

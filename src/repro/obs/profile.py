@@ -42,6 +42,9 @@ histogram / phase namespaces of the registry):
   re-ran the full DFS (counters);
 * ``coherent:incremental_hit`` — a COH check verified only the events
   appended since its last verdict (counter);
+* ``coherence:incremental_hit`` — an SC-per-location or RMW atomicity
+  check verified only the deltas since its last passing verdict
+  (counter; see :mod:`repro.models.common`);
 * ``cat:memo_hit:<binding>`` / ``cat:memo_miss:<binding>`` — per-name
   memo behaviour of one ``.cat`` evaluation environment (counters);
 * ``cat:fixpoint_iters:<names>`` — rounds a ``let rec`` group took to

@@ -79,6 +79,29 @@ class TestHappensBefore:
         assert (wf, r) in strong_happens_before(g)
         assert (wf, r) not in happens_before(g)
 
+    def test_child_copy_extends_the_parent_map(self):
+        g, wf, rf_ = rel_acq_mp()
+        wd = g.thread_events(0)[0]
+        parent = (happens_before(g), strong_happens_before(g))
+        child = g.copy()
+        w2 = child.add_write(0, WriteLabel(loc="d", value=2, order=MemOrder.REL))
+        acq = child.add_read(2, ReadLabel(loc="f", order=MemOrder.ACQ), wf)
+        child.add_read(2, ReadLabel(loc="d"), w2)
+        fence = child.add_fence(2, FenceLabel(kind=FenceKind.C11, order=MemOrder.ACQ))
+        incremental = (happens_before(child), strong_happens_before(child))
+        assert {(wf, acq), (wd, acq), (w2, fence), (wd, fence)} <= set(
+            incremental[0].pairs()
+        )
+        set_incremental(False)
+        try:
+            closure = (happens_before(child), strong_happens_before(child))
+        finally:
+            set_incremental(True)
+        assert incremental == closure
+        # the parent's maps are untouched
+        assert (happens_before(g), strong_happens_before(g)) == parent
+        assert fence not in parent[0].nodes() | parent[1].nodes()
+
 
 class TestScEvents:
     def test_hardware_full_fences_count_as_sc(self):

@@ -9,12 +9,23 @@ models).  Also pins the satellite bugfixes: ``atomicity_ok`` on
 """
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro import ProgramBuilder, verify
 from repro.cat import CatModel
 from repro.events import Event, ReadLabel, WriteLabel
 from repro.graphs import ExecutionGraph
-from repro.graphs.derived import co, eco, fr, graph_cached, po, rf
+from repro.graphs.derived import (
+    co,
+    eco,
+    fr,
+    graph_cached,
+    po,
+    po_loc,
+    rf,
+    rmw_pairs,
+)
 from repro.graphs.incremental import (
     AcyclicFamily,
     IncrementalMismatch,
@@ -26,7 +37,7 @@ from repro.graphs.incremental import (
     set_incremental,
 )
 from repro.models import all_models, get_model
-from repro.models.common import atomicity_ok
+from repro.models.common import atomicity_ok, sc_per_location
 from repro.obs import Observer
 from repro.relations import Relation, union
 from repro.util.randprog import RandomProgramGenerator
@@ -268,6 +279,18 @@ class TestAcyclicCheck:
         with pytest.raises(IncrementalMismatch, match="po_inverse"):
             acyclic_check(child, family)
 
+    @pytest.mark.parametrize("family", [COHERENCEISH, PORF_CO])
+    def test_lineage_cut_counts_a_fallback(self, family):
+        from repro.obs.profile import activation
+
+        g = mp_graph()
+        assert acyclic_check(g, family)
+        g.set_rf(g.thread_events(1)[1], g.thread_events(0)[0])
+        obs = Observer()
+        with activation(obs):
+            assert acyclic_check(g, family)
+        assert obs.metrics.counters.get("acyclic:fallback", 0) == 1
+
     def test_disabled_mode_bypasses_state(self):
         set_incremental(False)
         g = mp_graph()
@@ -304,6 +327,98 @@ class TestCoherentCheck:
             eco_rel = eco.__wrapped__(graph)
             for ev in graph.events():
                 assert _eco_successors(graph, ev) == eco_rel.successors(ev)
+
+
+# -- coherence keys and atomicity per insertion -------------------------------
+
+
+LOCATIONS = ("x", "y")
+
+#: one generated step: (kind, thread, location, rf choice, co choice,
+#: whether an RMW's write half fires)
+STEP = st.tuples(
+    st.sampled_from(("read", "write", "rmw")),
+    st.integers(0, 2),
+    st.integers(0, 1),
+    st.integers(0, 7),
+    st.integers(0, 7),
+    st.booleans(),
+)
+
+
+def _mutations(step, threads: int, locations: int) -> list:
+    """The add_read/add_write calls of one generated step."""
+    kind, tid, loc, source, position, fires = step
+    tid, loc = tid % threads, LOCATIONS[loc % locations]
+
+    def read(g):
+        order = g.co_order(loc)
+        label = ReadLabel(loc=loc, exclusive=kind == "rmw")
+        g.add_read(tid, label, order[source % len(order)])
+
+    def write(g):
+        label = WriteLabel(loc=loc, value=1, exclusive=kind == "rmw")
+        g.add_write(tid, label, 1 + position % len(g.co_order(loc)))
+
+    if kind == "write":
+        return [write]
+    return [read, write] if kind == "rmw" and fires else [read]
+
+
+def _full_checks(g) -> tuple:
+    """SC-per-location as the union's DFS, atomicity read straight off
+    its definition."""
+    coherent = union(po_loc(g), rf(g), co(g), fr(g)).is_acyclic()
+    atomic = True
+    for read, write in rmw_pairs(g).pairs():
+        order = g.co_order(g.label(write).location)
+        if order.index(write) != order.index(g.rf(read)) + 1:
+            atomic = False
+    return coherent, atomic
+
+
+class TestCoherenceKeys:
+    @given(
+        st.integers(2, 3),
+        st.integers(1, 2),
+        st.integers(1, 3),
+        st.lists(STEP, min_size=1, max_size=10),
+    )
+    # two writes land between an RMW's source and its write in one
+    # child: only the second one is right before the RMW's write
+    @example(
+        2,
+        1,
+        2,
+        [
+            ("rmw", 0, 0, 0, 0, True),
+            ("read", 1, 0, 0, 0, False),
+            ("write", 1, 0, 0, 0, False),
+            ("write", 1, 0, 0, 1, False),
+        ],
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_full_checks(self, threads, locations, batch, steps):
+        # each child takes ``batch`` steps past its passing parent, so
+        # the delta path sees one to several events (and co insertions)
+        parent = ExecutionGraph(LOCATIONS[:locations])
+        assert sc_per_location(parent) and atomicity_ok(parent)
+        for start in range(0, len(steps), batch):
+            child = parent.copy()
+            for step in steps[start:start + batch]:
+                for mutate in _mutations(step, threads, locations):
+                    mutate(child)
+            fresh = child.restricted(child.events())
+            expected = _full_checks(fresh)
+            assert (sc_per_location(fresh), atomicity_ok(fresh)) == expected
+            assert (sc_per_location(child), atomicity_ok(child)) == expected
+            if all(expected):
+                parent = child
+
+    def test_delta_path_counts_its_hits(self):
+        obs = Observer()
+        verify(sb_program(3), "tso", observer=obs)
+        assert obs.metrics.counters.get("coherence:incremental_hit", 0) > 0
 
 
 # -- differential property tests ---------------------------------------------
@@ -382,7 +497,7 @@ class TestCounters:
     def test_incremental_hits_recorded(self, monkeypatch):
         monkeypatch.setenv("REPRO_INCREMENTAL", "1")
         obs = Observer()
-        verify(sb_program(3), "tso", observer=obs)
+        verify(sb_program(3), "rc11", observer=obs)
         counters = obs.metrics.counters
         assert any(
             k.startswith("relation:") and k.endswith(":incremental_hit")

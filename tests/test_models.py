@@ -67,12 +67,69 @@ def coherence_violation() -> ExecutionGraph:
     return g
 
 
+def _coww():
+    g = ExecutionGraph(["x"])
+    g.add_write(0, WriteLabel(loc="x", value=1))
+    return g, lambda c: c.add_write(0, WriteLabel(loc="x", value=2), 1)
+
+
+def _cowr():
+    g = ExecutionGraph(["x"])
+    g.add_write(0, WriteLabel(loc="x", value=1))
+    return g, lambda c: c.add_read(0, ReadLabel(loc="x"), c.init_write("x"))
+
+
+def _corw1():
+    # only an rf redirect (a revisit) makes a read see its own
+    # thread's po-later write, so this child takes a cut lineage
+    g = ExecutionGraph(["x"])
+    r = g.add_read(0, ReadLabel(loc="x"), g.init_write("x"))
+    w = g.add_write(0, WriteLabel(loc="x", value=1))
+    return g, lambda c: c.set_rf(r, w)
+
+
+def _corw2():
+    g = ExecutionGraph(["x"])
+    w = g.add_write(1, WriteLabel(loc="x", value=2))
+    g.add_read(0, ReadLabel(loc="x"), w)
+    return g, lambda c: c.add_write(0, WriteLabel(loc="x", value=1), 1)
+
+
+def _corr():
+    g = ExecutionGraph(["x"])
+    w1 = g.add_write(1, WriteLabel(loc="x", value=1))
+    w2 = g.add_write(1, WriteLabel(loc="x", value=2))
+    g.add_read(0, ReadLabel(loc="x"), w2)
+    return g, lambda c: c.add_read(0, ReadLabel(loc="x"), w1)
+
+
+#: herd's five SC-PER-LOCATION shapes, each as a consistent parent and
+#: the mutation that closes the cycle
+CO_SHAPES = {
+    "CoWW": _coww,
+    "CoWR": _cowr,
+    "CoRW1": _corw1,
+    "CoRW2": _corw2,
+    "CoRR": _corr,
+}
+
+
 class TestCommonAxioms:
     def test_sc_per_location_accepts_sb(self):
         assert sc_per_location(sb_graph(True))
 
     def test_sc_per_location_rejects_corw(self):
         assert not sc_per_location(coherence_violation())
+        for name, shape in CO_SHAPES.items():
+            fresh, close = shape()
+            close(fresh)
+            assert not sc_per_location(fresh), name
+            parent, close = shape()
+            assert sc_per_location(parent), name
+            child = parent.copy()
+            close(child)
+            assert not sc_per_location(child), name
+            assert sc_per_location(parent), name
 
     def test_atomicity_accepts_adjacent(self):
         g = ExecutionGraph(["x"])

@@ -76,7 +76,7 @@ class TestActivation:
 class TestHotspotMetrics:
     def test_relation_memo_attribution(self):
         obs = Observer()
-        verify(sb_program(), "tso", observer=obs)
+        verify(sb_program(), "rc11", observer=obs)
         counters = obs.metrics.counters
         hits = {k for k in counters if k.endswith(":memo_hit")}
         assert any(k.startswith("relation:") for k in hits)

@@ -44,13 +44,13 @@ def sb_program():
     return p.build()
 
 
-def make_manifest(created: float = 1000.0) -> dict:
+def make_manifest(created: float = 1000.0, model: str = "tso") -> dict:
     obs = Observer()
-    result = verify(sb_program(), "tso", observer=obs)
+    result = verify(sb_program(), model, observer=obs)
     return build_manifest(
         result,
         obs.metrics_snapshot(),
-        command="verify SB --model tso",
+        command=f"verify SB --model {model}",
         jobs=1,
         created=created,
     )
@@ -84,7 +84,7 @@ class TestBuildManifest:
         assert all("=" in key for key in result["outcomes"])
 
     def test_profiler_metrics_present(self):
-        counters = make_manifest()["metrics"]["counters"]
+        counters = make_manifest(model="rc11")["metrics"]["counters"]
         assert any(k.startswith("relation:") for k in counters)
 
 
