@@ -26,8 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Protocol, runtime_checkable
 
 from ..core.config import ExplorationOptions
-from ..core.explorer import Explorer
-from ..core.parallel import verify_parallel
+from ..core.explorer import Explorer, verify
 from ..core.result import ErrorReport, VerificationResult
 from ..lang import Program
 from ..models import MemoryModel, get_model
@@ -119,12 +118,7 @@ def _run_hmc(program, model_name, options, observer) -> VerificationResult:
 def _run_hmc_parallel(program, model_name, options, observer) -> VerificationResult:
     # jobs resolves via options.jobs / REPRO_JOBS; a parallel backend
     # asked to run with one job degenerates to the serial explorer
-    result = verify_parallel(program, model_name, options, observer=observer)
-    if not options.collect_keys:
-        # internal merge bookkeeping; strip at the API boundary (the
-        # result stays mergeable only when the caller opted into keys)
-        result.execution_records = []
-    return result
+    return verify(program, model_name, options=options, observer=observer)
 
 
 def _placeholder_errors(count: int, tool: str) -> list[ErrorReport]:

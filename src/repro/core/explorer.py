@@ -493,16 +493,14 @@ def verify(
     """
     options = resolve_options(options, option_overrides)
     # imported here: repro.core.parallel builds on this module
-    from .parallel import shardable, verify_parallel
+    from .parallel import verify_parallel
 
-    if effective_jobs(options) > 1 and shardable(options):
-        result = verify_parallel(program, model, options, observer=observer)
-        if not options.collect_keys:
-            # the records existed for merge reconciliation; strip them
-            # at the API boundary unless the caller asked for them
-            result.execution_records = []
-        return result
-    return Explorer(program, model, options, observer=observer).run()
+    result = verify_parallel(program, model, options, observer=observer)
+    if not options.collect_keys:
+        # the records existed for merge reconciliation; strip them
+        # at the API boundary unless the caller asked for them
+        result.execution_records = []
+    return result
 
 
 def count_executions(

@@ -19,19 +19,19 @@ The engine has three phases:
    is spawned at all).  Completions, blocked graphs and errors hit
    while splitting are recorded in the coordinator's partial result.
 2. **Dispatch** — each prefix becomes a pickled :data:`Task`
-   ``(index, attempt, program, model, options, prefix graph,
-   telemetry context)`` run by :func:`run_task`; workers resume the
-   DFS from the prefix (``Explorer(root=...)``) with per-worker dedup
-   and revisit-memoisation state, under a child observer built from
-   the coordinator's :class:`~repro.obs.TaskContext`.  Dispatch is
+   ``(program, model, options, prefix graph, telemetry context)`` run
+   by :func:`run_task`; workers resume the DFS from the prefix
+   (``Explorer(root=...)``) with per-worker dedup and
+   revisit-memoisation state, under a child observer built from the
+   coordinator's :class:`~repro.obs.TaskContext`.  Dispatch is
    supervised by :class:`PoolSupervisor`: each worker process owns
    one pipe, so the coordinator knows which task every worker holds.
    A worker that raises, is killed (SIGKILL), or hangs past
    ``ExplorationOptions.task_timeout`` costs exactly its own task a
    failure; the task is retried up to ``task_retries`` times, and a
    task that keeps failing is re-explored *serially in the
-   coordinator* — the run still returns a complete, deterministic
-   result instead of raising or wedging.
+   coordinator* by the supervisor itself — the run still returns a
+   complete, deterministic result instead of raising or wedging.
 3. **Merge** — worker results are combined in deterministic task order
    with :meth:`VerificationResult.merge`.  Executions are reconciled by
    canonical key (a graph completed in two subtrees counts once, with
@@ -78,16 +78,14 @@ from .config import ExplorationOptions
 from .explorer import Explorer, _SearchLimit, effective_jobs
 from .result import VerificationResult, merge_phase_times
 
-#: one unit of work: (task index, attempt number, program, model spec,
-#: options, prefix graph, telemetry context).  The model spec is the
-#: registry name for registered models, and the pickled model object
-#: itself otherwise (e.g. a CatModel loaded from a ``.cat`` file) —
-#: workers hand either form to the Explorer.  The prefix is the subtree
-#: to explore, or None for the whole program.  The context is the
-#: coordinator's ``Observer.context()``, or None when it is unobserved.
+#: one unit of work: (program, model spec, options, prefix graph,
+#: telemetry context).  The model spec is the registry name for
+#: registered models, and the pickled model object itself otherwise
+#: (e.g. a CatModel loaded from a ``.cat`` file) — workers hand either
+#: form to the Explorer.  The prefix is the subtree to explore, or None
+#: for the whole program.  The context is the coordinator's
+#: ``Observer.context()``, or None when it is unobserved.
 Task = tuple[
-    int,
-    int,
     Program,
     "str | MemoryModel",
     ExplorationOptions,
@@ -115,6 +113,7 @@ FAULT_COUNTERS = (
     "tasks_failed",
     "tasks_retried",
     "tasks_timeout",
+    "tasks_fallback",
     "workers_lost",
 )
 
@@ -187,8 +186,8 @@ def _worker_loop(conn) -> None:
     """The body of one supervised worker process.
 
     Receives ``(fn, index, attempt, payload)`` requests on its end of
-    the pipe, one at a time, and answers each with ``(True,
-    fn(payload))`` or ``(False, repr(error))``.  It exits when the
+    the pipe, one at a time, and answers each with ``(True, fn(index,
+    attempt, payload))`` or ``(False, repr(error))``.  It exits when the
     pipe closes; the supervisor normally kills it first.
     """
     while True:
@@ -201,7 +200,7 @@ def _worker_loop(conn) -> None:
             # pickling happens before any byte is written, so a value
             # that cannot be sent still leaves the pipe clean for the
             # error reply
-            conn.send((True, fn(payload)))
+            conn.send((True, fn(index, attempt, payload)))
         except Exception as exc:  # noqa: BLE001 - reported to the coordinator
             conn.send((False, repr(exc)))
 
@@ -241,16 +240,18 @@ def _maybe_inject_fault(index: int, attempt: int) -> None:
         raise RuntimeError(f"injected fault in task {index}")
 
 
-def run_task(task: Task) -> tuple[int, int, VerificationResult, dict]:
+def run_task(
+    index: int, attempt: int, task: Task
+) -> tuple[VerificationResult, dict]:
     """Explore one task — a whole program or one subtree prefix.
 
     Both engines run every task through here: supervised workers for
-    dispatched tasks, and the coordinator in-process for serial
-    fallbacks and ``run_suite``'s inline jobs.  Returns ``(index,
-    attempt, result, snapshot)``, where the snapshot is the child
-    observer's, for the coordinator's ``Observer.absorb``.
+    dispatched tasks, :meth:`PoolSupervisor.run` in-process for serial
+    fallbacks, and ``run_suite`` for its inline jobs.  Returns
+    ``(result, snapshot)``, where the snapshot is the child observer's,
+    for the coordinator's ``Observer.absorb``.
     """
-    index, attempt, program, model_spec, options, prefix, ctx = task
+    program, model_spec, options, prefix, ctx = task
     observer = NULL_OBSERVER if ctx is None else ctx.observer(index, attempt)
     try:
         with observer.tracer.span(
@@ -265,7 +266,7 @@ def run_task(task: Task) -> tuple[int, int, VerificationResult, dict]:
             ).run()
     finally:
         observer.close()
-    return index, attempt, result, observer.snapshot()
+    return result, observer.snapshot()
 
 
 # -- coordinator side ------------------------------------------------------
@@ -293,8 +294,9 @@ class _Worker:
 
 
 class PoolSupervisor:
-    """Supervised worker processes with crash/hang detection, bounded
-    retries, and a serial fallback list.
+    """Supervised worker processes that take a list of tasks to
+    completion, with crash/hang detection, bounded retries, and a
+    serial fallback.
 
     Both the subtree-parallel explorer (:func:`verify_parallel`) and
     the batch suite engine (:mod:`repro.suite`) run their work through
@@ -302,13 +304,12 @@ class PoolSupervisor:
     degradation — hold identically for a single sharded
     verification and for an N-task suite sharing one set of workers.
 
-    Work is described, not owned: callers pass a picklable worker
-    function plus a mapping ``index -> payload factory``; the factory
-    is called with the attempt number so retries can build fresh
-    payloads (the attempt names a worker's trace file).  Completed
-    values are handed to ``on_result(index, value)``, which returns
-    True to stop dispatch (stop-on-error); the supervisor stores no
-    results itself.
+    Work is described, not owned: :meth:`run` takes a picklable worker
+    function and a list of plain payloads, and calls ``fn(index,
+    attempt, payload)`` once per attempt (the attempt names a worker's
+    trace file).  Completed values are handed to ``on_result(index,
+    value)``, which returns True to stop the rest (stop-on-error); the
+    supervisor stores no results itself.
 
     The supervisor starts up to ``processes`` workers itself, each
     with one duplex pipe, so it always knows which task each worker
@@ -326,44 +327,32 @@ class PoolSupervisor:
 
     The task is then retried; other in-flight tasks keep running.  A
     task failing more than ``task_retries`` times lands on
-    :attr:`fallback` for the caller to re-run serially in-process.
-    Workers share no lock with the coordinator, so stopping a run
-    (stop-on-error, an exception in the coordinator, :meth:`close`)
-    simply kills the busy ones.
-
-    With ``persistent=True`` the idle workers outlive :meth:`run`
-    (the verification service drives every job through one such
-    supervisor), per-run state (``acct``, ``fallback``, ``stopped``)
-    is reset at the start of each call, and the caller owns the
-    lifetime via :meth:`close`.
+    :attr:`fallback`, and once the pool drains :meth:`run` explores it
+    in-process through the same ``fn``.  Workers share no lock with
+    the coordinator, so stopping a run (stop-on-error, an exception in
+    the coordinator) simply kills the busy ones.  Idle workers stay
+    warm for the next :meth:`run` (the verification service drives
+    every job through one supervisor) until the owner calls
+    :meth:`close`.
     """
 
-    def __init__(
-        self,
-        ctx,
-        processes: int,
-        *,
-        task_timeout: float | None = None,
-        task_retries: int = 2,
-        observer=NULL_OBSERVER,
-        persistent: bool = False,
-    ) -> None:
+    def __init__(self, ctx, processes: int) -> None:
         self.ctx = ctx
         self.processes = processes
-        self.task_timeout = task_timeout
-        self.task_retries = task_retries
-        self.obs = observer
-        self.persistent = persistent
-        #: task indices whose retries were exhausted (caller re-runs
-        #: these serially); cleared when the run stopped early instead
+        self.task_timeout: float | None = None
+        self.task_retries = 2
+        self.obs = NULL_OBSERVER
+        #: task indices whose retries were exhausted, run in-process
+        #: unless the run stopped first
         self.fallback: list[int] = []
         self.stopped = False
+        #: tasks left without a result by a stop
         self.cancelled = 0
         self.acct = dict.fromkeys(FAULT_COUNTERS, 0)
-        self.states: dict[int, _TaskState] = {}
+        self.states: list[_TaskState] = []
         self._workers: list[_Worker] = []
         self._fn = None
-        self._payloads: dict = {}
+        self._payloads: list = []
         self._pending: deque[int] = deque()
         self._outstanding: set[int] = set()
 
@@ -389,28 +378,41 @@ class PoolSupervisor:
         worker.conn.close()
 
     def close(self) -> None:
-        """Kill every worker (persistent supervisors only need this)."""
+        """Kill every worker; the owner calls this when done."""
         for worker in list(self._workers):
             self._retire(worker)
 
     # -- the supervision loop --------------------------------------------
 
-    def run(self, fn, payloads: dict, on_result) -> None:
-        """Run every payload on the workers and supervise them.
+    def run(
+        self,
+        fn,
+        payloads: list,
+        on_result,
+        *,
+        task_timeout: float | None = None,
+        task_retries: int = 2,
+        observer=NULL_OBSERVER,
+    ) -> None:
+        """Take every payload to a result: on the workers, with
+        retries, and in-process for a task whose retries are spent.
 
         ``fn`` is the picklable worker entry point, called as
-        ``fn(payloads[index](attempt))``; ``on_result(index, value)``
-        consumes each completed value and returns True to cancel the
-        remaining tasks.
+        ``fn(index, attempt, payloads[index])``; ``on_result(index,
+        value)`` consumes each completed value and returns True to
+        cancel the remaining tasks, which :attr:`cancelled` counts.
         """
         self._fn = fn
         self._payloads = payloads
-        self.states = {i: _TaskState() for i in payloads}
+        self.task_timeout = task_timeout
+        self.task_retries = task_retries
+        self.obs = observer
+        self.states = [_TaskState() for _ in payloads]
         self.fallback = []
         self.stopped = False
         self.acct = dict.fromkeys(FAULT_COUNTERS, 0)
-        self._pending = deque(sorted(payloads))
-        self._outstanding = set(payloads)
+        self._pending = deque(range(len(payloads)))
+        self._outstanding = set(self._pending)
         try:
             while self._outstanding and not self.stopped:
                 self._dispatch()
@@ -424,11 +426,19 @@ class PoolSupervisor:
             # a busy worker now holds a cancelled task: kill it rather
             # than wait for a result nobody reads
             for worker in list(self._workers):
-                if worker.task is not None or not self.persistent:
+                if worker.task is not None:
                     self._retire(worker)
-        self.cancelled = len(self._outstanding) if self.stopped else 0
-        if self.stopped:
-            self.fallback = []
+        # graceful degradation: a task whose retries are spent runs
+        # here, so the run still takes every task to a result
+        unrun = deque(self.fallback)
+        while unrun and not self.stopped:
+            index = unrun.popleft()
+            self.acct["tasks_fallback"] += 1
+            if self.obs.trace_enabled:
+                self.obs.emit("task_fallback", task=index)
+            value = fn(index, self.states[index].attempts, payloads[index])
+            self.stopped = bool(on_result(index, value))
+        self.cancelled = len(self._outstanding) + len(unrun)
 
     def _dispatch(self) -> None:
         """Hand pending tasks to idle workers, starting workers (up to
@@ -439,9 +449,10 @@ class PoolSupervisor:
             index = self._pending.popleft()
             attempt = self.states[index].attempts
             self.states[index].attempts += 1
-            payload = self._payloads[index](attempt)
             try:
-                worker.conn.send((self._fn, index, attempt, payload))
+                worker.conn.send(
+                    (self._fn, index, attempt, self._payloads[index])
+                )
             except OSError:
                 pass  # died while idle: its sentinel reports the loss
             except Exception as exc:  # noqa: BLE001 - unpicklable request
@@ -533,8 +544,8 @@ class PoolSupervisor:
             )
 
     def _charge(self, index: int, event: str, **fields) -> None:
-        """Charge task ``index`` one failure: queue a retry, or hand it
-        to the caller's serial fallback once its retries are spent."""
+        """Charge task ``index`` one failure: queue a retry, or put it
+        on the serial fallback once its retries are spent."""
         state = self.states[index]
         state.failures += 1
         if self.obs.trace_enabled:
@@ -558,8 +569,8 @@ def verify_parallel(
 ) -> VerificationResult:
     """Verify ``program`` by sharding the search over worker processes.
 
-    ``jobs`` defaults to the resolution of ``options.jobs`` /
-    ``REPRO_JOBS`` (0 means one worker per CPU).  Falls back to the
+    ``jobs`` (default ``options.jobs``) resolves through
+    :func:`~repro.core.explorer.effective_jobs`.  Falls back to the
     serial explorer when only one job is requested or the search is
     not :func:`shardable`.
 
@@ -573,13 +584,12 @@ def verify_parallel(
     them at the API boundary.
     """
     options = options or ExplorationOptions()
-    model = get_model(model) if isinstance(model, str) else model
-    if jobs is None:
-        jobs = effective_jobs(options)
-    elif jobs == 0:
-        jobs = os.cpu_count() or 1
+    jobs = effective_jobs(
+        options if jobs is None else replace(options, jobs=jobs)
+    )
     if jobs <= 1 or not shardable(options):
         return Explorer(program, model, options, observer=observer).run()
+    model = get_model(model) if isinstance(model, str) else model
     start = time.perf_counter()
     obs = observer
     if obs.trace_enabled:
@@ -597,95 +607,59 @@ def verify_parallel(
     frontier, merged, aborted = split_frontier(
         program, model, split_options, target, observer=obs
     )
-    supervisor = None
-    cancelled = 0
+    if aborted:
+        frontier = []
     worker_results: dict[int, VerificationResult] = {}
-    if not aborted and frontier:
-        if obs.trace_enabled:
-            obs.emit("parallel_dispatch", tasks=len(frontier), jobs=jobs)
-        supervisor = PoolSupervisor(
-            multiprocessing.get_context(),
-            processes=min(jobs, len(frontier)),
+
+    def absorb(index: int, value) -> bool:
+        result, snapshot = value
+        worker_results[index] = result
+        obs.absorb(snapshot, worker=index)
+        return bool(options.stop_on_error and result.errors)
+
+    if frontier and obs.trace_enabled:
+        obs.emit("parallel_dispatch", tasks=len(frontier), jobs=jobs)
+    model_spec = _model_spec(model)
+    telemetry = obs.context()
+    # no worker starts for an empty frontier: workers start on dispatch
+    supervisor = PoolSupervisor(
+        multiprocessing.get_context(), min(jobs, len(frontier))
+    )
+    try:
+        supervisor.run(
+            run_task,
+            [
+                (program, model_spec, split_options, prefix, telemetry)
+                for prefix in frontier
+            ],
+            absorb,
             task_timeout=options.task_timeout,
             task_retries=options.task_retries,
             observer=obs,
         )
-        model_spec = _model_spec(model)
-        telemetry = obs.context()
-
-        def _payload(index: int):
-            def make(attempt: int) -> Task:
-                return (
-                    index,
-                    attempt,
-                    program,
-                    model_spec,
-                    split_options,
-                    frontier[index],
-                    telemetry,
-                )
-
-            return make
-
-        def _on_result(index: int, value) -> bool:
-            _, _, result, snapshot = value
-            worker_results[index] = result
-            obs.absorb(snapshot, worker=index)
-            return bool(options.stop_on_error and result.errors)
-
-        supervisor.run(
-            run_task,
-            {i: _payload(i) for i in range(len(frontier))},
-            _on_result,
-        )
-        cancelled = supervisor.cancelled
-        # graceful degradation: subtrees whose tasks kept failing are
-        # re-explored serially right here, so the run still returns a
-        # complete deterministic result
-        for position, index in enumerate(supervisor.fallback):
-            if obs.trace_enabled:
-                obs.emit("task_fallback", task=index)
-            attempt = supervisor.states[index].attempts
-            value = run_task(_payload(index)(attempt))
-            if _on_result(index, value):
-                cancelled += len(supervisor.fallback) - position - 1
-                break
+    finally:
+        supervisor.close()
     for index in sorted(worker_results):
-        merged = merged.merge(worker_results[index])
-    if supervisor is not None and obs.enabled:
-        skew = _worker_skew(worker_results)
-        if skew is not None:
-            merged.meta["worker_skew"] = skew
+        sub = worker_results[index]
+        merged = merged.merge(sub)
         if obs.trace_enabled:
-            for index in sorted(worker_results):
-                sub = worker_results[index]
-                obs.emit(
-                    "worker_metrics",
-                    worker=index,
-                    executions=sub.executions,
-                    blocked=sub.blocked,
-                    errors=len(sub.errors),
-                    elapsed=round(sub.elapsed, 6),
-                )
+            obs.emit(
+                "worker_metrics",
+                worker=index,
+                executions=sub.executions,
+                blocked=sub.blocked,
+                errors=len(sub.errors),
+                elapsed=round(sub.elapsed, 6),
+            )
     merged.elapsed = time.perf_counter() - start
-    merged.truncated = merged.truncated or cancelled > 0
-    acct = (
-        supervisor.acct
-        if supervisor is not None
-        else dict.fromkeys(FAULT_COUNTERS, 0)
-    )
+    merged.truncated = merged.truncated or supervisor.cancelled > 0
     merged.meta.update(
         {
             "jobs": jobs,
-            "tasks": len(frontier) if not aborted else 0,
-            "tasks_cancelled": cancelled,
-            "tasks_fallback": sum(
-                1 for i in supervisor.fallback if i in worker_results
-            )
-            if supervisor is not None
-            else 0,
+            "tasks": len(frontier),
+            "tasks_cancelled": supervisor.cancelled,
             "oversubscription": options.oversubscription,
-            **acct,
+            **supervisor.acct,
         }
     )
     if obs.enabled:
@@ -704,29 +678,7 @@ def verify_parallel(
             stats=merged.stats.as_dict(),
             phases=merged.phase_times,
             jobs=jobs,
-            tasks=merged.meta["tasks"],
+            tasks=len(frontier),
         )
         obs.finish(executions=merged.executions, blocked=merged.blocked)
     return merged
-
-
-def _worker_skew(worker_results: dict[int, VerificationResult]) -> dict | None:
-    """Load-balance summary across subtree tasks: how unevenly the
-    search was carved up.  ``max/mean`` executions is the headline
-    number — 1.0 means perfectly balanced shards, large values mean one
-    subtree dominated the run (`trace-summary` surfaces the same figure
-    from ``worker_metrics`` records)."""
-    if not worker_results:
-        return None
-    executions = [r.executions for r in worker_results.values()]
-    elapsed = [r.elapsed for r in worker_results.values()]
-    mean = sum(executions) / len(executions)
-    return {
-        "tasks": len(executions),
-        "min_executions": min(executions),
-        "max_executions": max(executions),
-        "mean_executions": round(mean, 3),
-        "imbalance": round(max(executions) / mean, 3) if mean else 1.0,
-        "min_elapsed": round(min(elapsed), 6),
-        "max_elapsed": round(max(elapsed), 6),
-    }

@@ -3,7 +3,7 @@
 A stdlib-only service layer over the suite engine: a versioned JSON
 protocol (:mod:`repro.service.protocol`), a bounded priority queue
 with 429 backpressure (:mod:`repro.service.queue`), a single executor
-thread driving jobs onto one persistent worker pool
+thread driving jobs onto one long-lived worker pool
 (:mod:`repro.service.worker`), the HTTP server with NDJSON progress
 streaming and SIGTERM graceful drain (:mod:`repro.service.server`),
 and an http.client client with one kept-alive connection per thread

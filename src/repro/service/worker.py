@@ -1,6 +1,6 @@
-"""The service executor: queued jobs onto one persistent worker pool.
+"""The service executor: queued jobs onto one long-lived worker pool.
 
-One :class:`JobExecutor` thread owns exactly one persistent
+One :class:`JobExecutor` thread owns exactly one
 :class:`~repro.core.parallel.PoolSupervisor` and drives every job
 through :func:`repro.suite.run_suite` with it — the same engine, the
 same pool, the same PR-3 crash/hang/retry semantics as a direct
@@ -201,17 +201,13 @@ class JobExecutor(threading.Thread):
             self._supervisor = None
 
     def _pool(self) -> PoolSupervisor | None:
-        """The one persistent supervisor, created on first parallel
-        job and kept warm until shutdown."""
+        """The one supervisor, created on first parallel job; its idle
+        workers stay warm until shutdown closes it."""
         if self.jobs <= 1:
             return None
         if self._supervisor is None:
             self._supervisor = PoolSupervisor(
-                multiprocessing.get_context(),
-                processes=self.jobs,
-                task_timeout=self.task_timeout,
-                task_retries=self.task_retries,
-                persistent=True,
+                multiprocessing.get_context(), self.jobs
             )
         return self._supervisor
 

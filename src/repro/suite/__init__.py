@@ -3,7 +3,7 @@
 The batch analogue of :func:`repro.verify`: describe a set of tasks
 (litmus tests, programs, ``.cat`` models, per-task options), hand them
 to :func:`run_suite`, and every exploration runs through a single
-persistent :class:`~repro.core.parallel.PoolSupervisor`, one whole
+:class:`~repro.core.parallel.PoolSupervisor`, one whole
 task per pool job in the caller's order, with a content-addressed
 result cache that makes re-runs of unchanged tasks free.  See
 docs/PARALLEL.md ("Batched suites") and docs/API.md.

@@ -1,4 +1,4 @@
-"""The batch execution engine: one persistent pool for a whole suite.
+"""The batch execution engine: one worker pool for a whole suite.
 
 ``run_suite`` takes an arbitrary mix of tasks — litmus tests, programs,
 declarative ``.cat`` models, per-task options — and drives them all
@@ -218,9 +218,10 @@ def run_suite(
     follows :func:`~repro.core.config.check_task_timeout`.
 
     ``supervisor`` lets a long-lived caller (the verification service)
-    pass its own persistent :class:`~repro.core.parallel.PoolSupervisor`
-    so worker processes stay warm across suites; the caller owns its
-    lifetime, and this run sets its timeout/retry knobs and observer.
+    pass its own :class:`~repro.core.parallel.PoolSupervisor` so idle
+    worker processes stay warm across suites; the caller owns its
+    lifetime.  A pool this run starts itself is closed before it
+    returns.
 
     ``seed`` is accepted for compatibility and ignored: nothing in a
     suite run is random.  A pooled run never splits a task; use
@@ -277,7 +278,7 @@ def run_suite(
             plans.append(_Plan(pos=pos, task=task, key=key))
 
     def _complete(job: int, value) -> bool:
-        _, _, result, snapshot = value
+        result, snapshot = value
         obs.absorb(snapshot, worker=job)
         plan = plans[job]
         task = plan.task
@@ -334,65 +335,44 @@ def run_suite(
             )
 
     acct: dict = {}
-
-    def _payload(job: int):
-        plan = plans[job]
-        model_spec = _model_spec(plan.task.model)
-        telemetry = obs.context(plan.span)
-
-        def make(attempt: int):
-            return (
-                job,
-                attempt,
-                plan.task.program,
-                model_spec,
-                plan.task.options,
-                None,
-                telemetry,
-            )
-
-        return make
-
-    pool_jobs = len(plans)
-    if jobs > 1 and pool_jobs:
+    payloads = [
+        (
+            plan.task.program,
+            _model_spec(plan.task.model),
+            plan.task.options,
+            None,
+            obs.context(plan.span),
+        )
+        for plan in plans
+    ]
+    if jobs > 1 and payloads:
         if obs.trace_enabled:
-            obs.emit("suite_dispatch", tasks=pool_jobs, jobs=jobs)
-        if supervisor is not None:
-            # a persistent supervisor shared across suites: this run
-            # owns its knobs and observer, the caller owns its lifetime
-            supervisor.task_timeout = task_timeout
-            supervisor.task_retries = task_retries
-            supervisor.obs = obs
-        else:
-            ctx = multiprocessing.get_context()
-            supervisor = PoolSupervisor(
-                ctx,
-                processes=min(jobs, pool_jobs),
+            obs.emit("suite_dispatch", tasks=len(payloads), jobs=jobs)
+        pool = supervisor or PoolSupervisor(
+            multiprocessing.get_context(), min(jobs, len(payloads))
+        )
+        try:
+            pool.run(
+                run_task,
+                payloads,
+                _complete,
                 task_timeout=task_timeout,
                 task_retries=task_retries,
                 observer=obs,
             )
-        supervisor.run(
-            run_task,
-            {job: _payload(job) for job in range(pool_jobs)},
-            _complete,
-        )
-        acct = dict(supervisor.acct)
-        acct["tasks_fallback"] = len(supervisor.fallback)
-        for job in supervisor.fallback:
-            if obs.trace_enabled:
-                obs.emit("task_fallback", task=job)
-            attempt = supervisor.states[job].attempts
-            _complete(job, run_task(_payload(job)(attempt)))
+        finally:
+            if pool is not supervisor:
+                pool.close()
+        acct = dict(pool.acct)
     else:
-        for job in range(pool_jobs):
-            _complete(job, run_task(_payload(job)(0)))
+        for job, payload in enumerate(payloads):
+            _complete(job, run_task(job, 0, payload))
 
     suite = SuiteResult(
         tasks=[results[pos] for pos in sorted(results)],
         jobs=jobs,
         elapsed=time.perf_counter() - start,
-        pool_tasks=pool_jobs,
+        pool_tasks=len(plans),
         acct=acct,
         meta={
             "cache_dir": store.root if store is not None else None,
@@ -404,6 +384,6 @@ def run_suite(
             "suite_done",
             tasks=len(suite.tasks),
             cache_hits=suite.cache_hits,
-            pool_tasks=pool_jobs,
+            pool_tasks=len(plans),
         )
     return suite

@@ -42,6 +42,20 @@ def sharded_program():
     return FAMILIES["sb"](3)
 
 
+def racy_wide():
+    """A sharded program whose assertion fails in some subtrees, so a
+    stop-on-error run stops with tasks in flight."""
+    p = ProgramBuilder("racy-wide")
+    for i in range(4):
+        t = p.thread()
+        t.store(f"x{i}", 1)
+        t.load(f"x{(i + 1) % 4}")
+    t = p.thread()
+    r = t.load("x0")
+    t.assert_(r.eq(0), "saw the store")
+    return p.build()
+
+
 def serial_result(program, model="tso", **overrides):
     options = ExplorationOptions(stop_on_error=False, **overrides)
     return Explorer(program, model, options).run()
@@ -348,10 +362,11 @@ class TestWorkerFaults:
         assert result.meta["tasks_retried"] == 1
 
 
-def _work(payload):
-    """A supervised test task: sleep, then return ``value`` — or crash,
-    raise, or return ``value`` zero bytes."""
-    delay, action, value = payload
+def _work(index, attempt, steps):
+    """A supervised test task: the step for this attempt (the last step
+    repeats) sleeps, then returns ``value`` — or crashes, raises, or
+    returns ``value`` zero bytes."""
+    delay, action, value = steps[min(attempt, len(steps) - 1)]
     time.sleep(delay)
     if action == "crash":
         os.kill(os.getpid(), signal.SIGKILL)
@@ -366,10 +381,11 @@ def _live_children() -> set:
     return {p.pid for p in multiprocessing.active_children()}
 
 
-def _run_bounded(supervisor, payloads, stop=lambda index: False):
+def _run_bounded(supervisor, payloads, stop=lambda index: False, **settings):
     """``supervisor.run`` on a thread, joined with a timeout; returns
     the values it delivered and the seconds it took.  ``stop(index)``
-    is ``on_result``'s verdict."""
+    is ``on_result``'s verdict; ``settings`` are the run's keyword
+    arguments."""
     results = {}
 
     def on_result(index, value):
@@ -377,7 +393,10 @@ def _run_bounded(supervisor, payloads, stop=lambda index: False):
         return stop(index)
 
     thread = threading.Thread(
-        target=supervisor.run, args=(_work, payloads, on_result), daemon=True
+        target=supervisor.run,
+        args=(_work, payloads, on_result),
+        kwargs=settings,
+        daemon=True,
     )
     start = time.monotonic()
     thread.start()
@@ -387,7 +406,8 @@ def _run_bounded(supervisor, payloads, stop=lambda index: False):
 
 
 def _task(delay, action, value):
-    return lambda attempt: (delay, action, value)
+    """One task's steps: the same step on every attempt."""
+    return [(delay, action, value)]
 
 
 class TestSupervisor:
@@ -406,23 +426,18 @@ class TestSupervisor:
         flight on the other worker (1 s tasks; the hang is detected
         mid-way through task 2): only task 0 is charged and run
         again."""
-
-        def payload(index):
-            def make(attempt):
-                if index == 0 and attempt == 0:
-                    return (60, "ok", 0) if fault == "hang" else (0, fault, 0)
-                return (1.0, "ok", index)
-
-            return make
-
-        supervisor = PoolSupervisor(
-            multiprocessing.get_context(),
-            2,
-            task_timeout=1.6 if fault == "hang" else None,
-        )
-        results, _ = _run_bounded(
-            supervisor, {i: payload(i) for i in range(4)}
-        )
+        first = (60, "ok", 0) if fault == "hang" else (0, fault, 0)
+        payloads = [[first, (1.0, "ok", 0)]]
+        payloads += [_task(1.0, "ok", i) for i in range(1, 4)]
+        supervisor = PoolSupervisor(multiprocessing.get_context(), 2)
+        try:
+            results, _ = _run_bounded(
+                supervisor,
+                payloads,
+                task_timeout=1.6 if fault == "hang" else None,
+            )
+        finally:
+            supervisor.close()
         assert results == {i: i for i in range(4)}
         assert supervisor.acct == {
             **dict.fromkeys(FAULT_COUNTERS, 0),
@@ -436,32 +451,82 @@ class TestSupervisor:
     @pytest.mark.parametrize("others", [0, 1])
     def test_unpicklable_task_falls_back(self, others):
         """A request that cannot be pickled fails like a raising task:
-        retried, then handed to the caller's serial fallback."""
+        retried, then run in-process by the supervisor's serial
+        fallback."""
         supervisor = PoolSupervisor(multiprocessing.get_context(), 2)
-        payloads = {0: _task(0, "ok", lambda: None)}
-        payloads.update({i: _task(0, "ok", i) for i in range(1, 1 + others)})
-        results, _ = _run_bounded(supervisor, payloads)
+        unpicklable = lambda: None  # noqa: E731 - a local cannot pickle
+        payloads = [_task(0, "ok", unpicklable)]
+        payloads += [_task(0, "ok", i) for i in range(1, 1 + others)]
+        try:
+            results, _ = _run_bounded(supervisor, payloads)
+        finally:
+            supervisor.close()
+        assert results.pop(0) is unpicklable
         assert results == {i: i for i in range(1, 1 + others)}
         assert supervisor.fallback == [0]
         assert supervisor.acct["tasks_failed"] == 3
         assert supervisor.acct["tasks_retried"] == 2
+        assert supervisor.acct["tasks_fallback"] == 1
+        assert supervisor.cancelled == 0
+
+    def test_spent_task_is_cancelled_by_a_stop(self):
+        """A task whose retries ran out before a stop never runs, and
+        counts as cancelled: collected + cancelled == tasks."""
+        supervisor = PoolSupervisor(multiprocessing.get_context(), 2)
+        payloads = [_task(0, "raise", 0), _task(1.0, "ok", 1)]
+        try:
+            results, _ = _run_bounded(
+                supervisor, payloads, lambda index: True
+            )
+        finally:
+            supervisor.close()
+        assert results == {1: 1}
+        assert supervisor.stopped
+        assert supervisor.fallback == [0]
+        assert supervisor.cancelled == 1
+        assert len(results) + supervisor.cancelled == len(payloads)
+        assert supervisor.acct["tasks_fallback"] == 0
+
+    def test_a_stop_in_the_fallback_cancels_the_rest(self):
+        """Both tasks fail on the workers and succeed in-process; the
+        first fallback result stops the run, so the other fallback
+        task is cancelled, not run."""
+        supervisor = PoolSupervisor(multiprocessing.get_context(), 2)
+        payloads = [[(0, "raise", i)] * 3 + [(0, "ok", i)] for i in range(2)]
+        try:
+            results, _ = _run_bounded(
+                supervisor, payloads, lambda index: True
+            )
+        finally:
+            supervisor.close()
+        assert len(results) == 1
+        [(index, value)] = results.items()
+        assert value == index and supervisor.fallback[0] == index
+        assert sorted(supervisor.fallback) == [0, 1]
+        assert supervisor.acct["tasks_fallback"] == 1
+        assert supervisor.cancelled == 1
 
     def test_stop_during_a_large_send_returns_promptly(self):
         """A stop requested while another worker is blocked sending a
-        16 MB result kills that worker instead of waiting on it."""
+        16 MB result kills that worker instead of waiting on it; the
+        idle worker stays until the owner closes the supervisor."""
         before = _live_children()
         supervisor = PoolSupervisor(multiprocessing.get_context(), 2)
-        payloads = {
-            0: _task(0, "ok", "first"),
+        payloads = [
+            _task(0, "ok", "first"),
             # starts sending while the coordinator sits in on_result
-            1: _task(0.5, "bulk", 16 << 20),
-        }
+            _task(0.5, "bulk", 16 << 20),
+        ]
 
         def stop(index):
             time.sleep(1.5)
             return True
 
-        results, elapsed = _run_bounded(supervisor, payloads, stop)
+        try:
+            results, elapsed = _run_bounded(supervisor, payloads, stop)
+            assert len(_live_children() - before) == 1
+        finally:
+            supervisor.close()
         assert elapsed < 20
         assert results == {0: "first"}
         assert supervisor.stopped and supervisor.cancelled == 1
@@ -469,16 +534,14 @@ class TestSupervisor:
 
     def test_persistent_supervisor_serves_the_next_run_after_a_stop(self):
         before = _live_children()
-        supervisor = PoolSupervisor(
-            multiprocessing.get_context(), 2, persistent=True
-        )
+        supervisor = PoolSupervisor(multiprocessing.get_context(), 2)
         try:
-            first = {0: _task(0, "ok", 0), 1: _task(60, "ok", 1)}
+            first = [_task(0, "ok", 0), _task(60, "ok", 1)]
             _, elapsed = _run_bounded(supervisor, first, lambda index: True)
             assert elapsed < 30
             assert supervisor.cancelled == 1
             results, _ = _run_bounded(
-                supervisor, {i: _task(0, "ok", i) for i in range(6)}
+                supervisor, [_task(0, "ok", i) for i in range(6)]
             )
             assert results == {i: i for i in range(6)}
             assert not supervisor.stopped and supervisor.cancelled == 0
@@ -492,15 +555,7 @@ class TestCancellationAccounting:
     def test_cancelled_consistent_with_folded_traces(self, tmp_path):
         """stop_on_error: collected + cancelled == dispatched, and only
         collected workers' traces are folded back."""
-        p = ProgramBuilder("racy-wide")
-        for i in range(4):
-            t = p.thread()
-            t.store(f"x{i}", 1)
-            t.load(f"x{(i + 1) % 4}")
-        t = p.thread()
-        r = t.load("x0")
-        t.assert_(r.eq(0), "saw the store")
-        program = p.build()
+        program = racy_wide()
         trace = tmp_path / "run.jsonl"
         obs = Observer.to_file(str(trace))
         result = verify_parallel(
@@ -525,6 +580,54 @@ class TestCancellationAccounting:
             if rec["t"] == "run_end" and "worker" in rec
         )
         assert folded_runs == collected
+
+
+class TestNoWorkerOutlivesItsOwner:
+    """Idle workers live until their owner closes the supervisor:
+    ``verify(jobs=N)`` and a ``run_suite`` that starts its own pool
+    close it before returning, whether the run finished, stopped, fell
+    back or raised."""
+
+    @pytest.mark.parametrize("case", ["clean", "stop_on_error", "fallback"])
+    def test_verify(self, case, monkeypatch):
+        monkeypatch.delenv("REPRO_FAULT_INJECT", raising=False)
+        if case == "fallback":
+            monkeypatch.setenv("REPRO_FAULT_INJECT", "raise:0")
+        before = _live_children()
+        if case == "stop_on_error":
+            result = verify(racy_wide(), "sc", jobs=2)
+            assert result.errors
+        else:
+            result = verify(
+                sharded_program(), "tso", stop_on_error=False, jobs=2
+            )
+            assert result.meta["tasks_fallback"] == (case == "fallback")
+        assert result.meta["tasks"] > 0
+        assert _live_children() <= before
+
+    def test_run_suite_whose_coordinator_raises(self, tmp_path):
+        """The first result's cache store raises while the second task
+        is still in flight: run() retires the busy worker, and the
+        idle one is left for run_suite to close."""
+        from repro.suite import (
+            ResultCache,
+            litmus_task,
+            program_task,
+            run_suite,
+        )
+
+        class FullDisk(ResultCache):
+            def store(self, *args, **kwargs):
+                raise OSError("no space left on device")
+
+        tasks = [
+            litmus_task("SB", "sc"),
+            program_task(FAMILIES["ainc"](4), "imm"),
+        ]
+        before = _live_children()
+        with pytest.raises(OSError, match="no space"):
+            run_suite(tasks, jobs=2, cache=FullDisk(str(tmp_path)))
+        assert _live_children() <= before
 
 
 BAD_TASK_TIMEOUTS = (float("nan"), float("inf"), 0, -1)

@@ -303,27 +303,6 @@ class TestWorkerMetricsMerge:
     """Worker-side registries must not be lost: their snapshots merge
     into the coordinator's registry, reproducing the serial counters."""
 
-    def run_observed(self, program, model, jobs):
-        from repro.obs import Observer
-
-        obs = Observer()
-        if jobs is None:
-            result = Explorer(
-                program,
-                model,
-                ExplorationOptions(stop_on_error=False),
-                observer=obs,
-            ).run()
-        else:
-            result = verify_parallel(
-                program,
-                model,
-                ExplorationOptions(stop_on_error=False),
-                observer=obs,
-                jobs=jobs,
-            )
-        return result, obs.metrics.snapshot()
-
     #: per engine, the (program, model) tasks it runs
     FOLD_TASKS = {
         "verify": [(sb_n(3), "tso")],
@@ -471,14 +450,6 @@ class TestWorkerMetricsMerge:
         self.traced_run(engine, str(tmp_path / "run.jsonl"))
         assert os.listdir(tmp_path) == ["run.jsonl"]
 
-    def test_worker_skew_meta(self):
-        result, _ = self.run_observed(sb_n(3), "tso", 2)
-        skew = result.meta.get("worker_skew")
-        assert skew is not None
-        assert skew["tasks"] == result.meta["tasks"]
-        assert skew["min_executions"] <= skew["max_executions"]
-        assert skew["imbalance"] >= 1.0
-
     def test_unobserved_parallel_collects_nothing(self):
         result = verify_parallel(
             sb_n(3),
@@ -487,7 +458,7 @@ class TestWorkerMetricsMerge:
             jobs=2,
         )
         assert result.executions == 8
-        assert "worker_skew" not in result.meta
+        assert result.phase_times == {}
 
     def test_worker_metrics_trace_records(self, tmp_path):
         from repro.obs import Observer, summarize_file
