@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Protocol, runtime_checkable
 
 from ..core.config import ExplorationOptions
-from ..core.explorer import Explorer, verify
+from ..core.explorer import verify
 from ..core.result import ErrorReport, VerificationResult
 from ..lang import Program
 from ..models import MemoryModel, get_model
@@ -112,12 +112,8 @@ def all_backends() -> list[Backend]:
 
 
 def _run_hmc(program, model_name, options, observer) -> VerificationResult:
-    return Explorer(program, model_name, options, observer=observer).run()
-
-
-def _run_hmc_parallel(program, model_name, options, observer) -> VerificationResult:
-    # jobs resolves via options.jobs / REPRO_JOBS; a parallel backend
-    # asked to run with one job degenerates to the serial explorer
+    # verify() resolves jobs via options.jobs / REPRO_JOBS and runs a
+    # one-job or unshardable search serially
     return verify(program, model_name, options=options, observer=observer)
 
 
@@ -238,7 +234,7 @@ def _run_exhaustive(program, model_name, options, observer) -> VerificationResul
 register_backend(
     _FunctionBackend(
         "hmc",
-        "the HMC explorer (serial DFS over execution graphs)",
+        "the HMC explorer (DFS over execution graphs; sharded with jobs > 1)",
         None,
         _run_hmc,
     )
@@ -246,9 +242,9 @@ register_backend(
 register_backend(
     _FunctionBackend(
         "hmc-parallel",
-        "HMC with subtree work-sharding over a process pool",
+        "HMC with subtree work-sharding over a process pool (same as hmc)",
         None,
-        _run_hmc_parallel,
+        _run_hmc,
     )
 )
 register_backend(

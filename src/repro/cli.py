@@ -275,9 +275,6 @@ def _cmd_verify(args) -> int:
         jobs=args.jobs,
         task_timeout=args.task_timeout,
     )
-    backend_name = args.backend
-    if backend_name == "hmc" and effective_jobs(options) > 1:
-        backend_name = "hmc-parallel"
     observer = _observer_from_args(args)
     tracer = observer.tracer if observer is not None else NULL_TRACER
     try:
@@ -285,10 +282,10 @@ def _cmd_verify(args) -> int:
             f"verify:{args.family}",
             cat="run",
             model=args.model,
-            backend=backend_name,
+            backend=args.backend,
             jobs=effective_jobs(options),
         ):
-            result = get_backend(backend_name).run(
+            result = get_backend(args.backend).run(
                 program,
                 model,
                 options,
@@ -1034,8 +1031,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         default="hmc",
         choices=backend_names(),
-        help="exploration engine (hmc auto-upgrades to hmc-parallel "
-        "when --jobs > 1)",
+        help="exploration engine (hmc and hmc-parallel both shard the "
+        "search when --jobs > 1 and it can be split)",
     )
     verify_p.add_argument(
         "--keep-going", action="store_true", help="collect all errors"

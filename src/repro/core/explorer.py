@@ -296,27 +296,23 @@ class Explorer:
         # when the full one is not (e.g. a second RMW that cannot
         # be placed atomically until the conflicting RMW is
         # deleted).  The restricted graph is checked on its own.
-        for extended, event, _ok in placements:
-            for revisited in backward_revisits(
-                extended,
-                event,
-                self.program,
-                self.model,
-                self.options,
-                self.result.stats,
-                self.obs,
-            ):
-                key = (
-                    canonical_key(revisited),
-                    tuple(
-                        (e.tid, e.index)
-                        for e in revisited.events_by_stamp()
-                    ),
-                )
-                if key in self._revisit_seen:
-                    continue
-                self._revisit_seen.add(key)
-                successors.append(revisited)
+        for revisited in backward_revisits(
+            [extended for extended, _, _ in placements],
+            placements[0][1],
+            self.program,
+            self.model,
+            self.options,
+            self.result.stats,
+            self.obs,
+        ):
+            key = (
+                canonical_key(revisited),
+                tuple((e.tid, e.index) for e in revisited.events_by_stamp()),
+            )
+            if key in self._revisit_seen:
+                continue
+            self._revisit_seen.add(key)
+            successors.append(revisited)
 
     def _consistent_step(self, graph: ExecutionGraph) -> bool:
         if not self.options.incremental_checks:

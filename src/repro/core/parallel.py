@@ -414,6 +414,19 @@ class PoolSupervisor:
         self._pending = deque(range(len(payloads)))
         self._outstanding = set(self._pending)
         try:
+            self._supervise(on_result)
+        finally:
+            # the supervisor can outlive the run (the service keeps one
+            # for every job): hold nothing of the caller's while idle
+            self._fn = None
+            self._payloads = []
+            self.obs = NULL_OBSERVER
+
+    def _supervise(self, on_result) -> None:
+        """Run the pool until every task has a result or the run
+        stopped, then the spent tasks in-process; sets
+        :attr:`cancelled`."""
+        try:
             while self._outstanding and not self.stopped:
                 self._dispatch()
                 for worker in self._ready():
@@ -436,7 +449,9 @@ class PoolSupervisor:
             self.acct["tasks_fallback"] += 1
             if self.obs.trace_enabled:
                 self.obs.emit("task_fallback", task=index)
-            value = fn(index, self.states[index].attempts, payloads[index])
+            value = self._fn(
+                index, self.states[index].attempts, self._payloads[index]
+            )
             self.stopped = bool(on_result(index, value))
         self.cancelled = len(self._outstanding) + len(unrun)
 

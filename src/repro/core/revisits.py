@@ -6,6 +6,8 @@ outside ``w``'s *causal prefix* is a revisit candidate: the graph is
 restricted to the events added no later than ``r`` plus the events
 ``w`` transitively needs, ``r`` is redirected to read from ``w``, and
 exploration restarts from there (the deleted events re-execute).
+The explorer makes one :func:`backward_revisits` call per write, over
+all of the write's coherence placements.
 
 Which reads count as "outside the prefix" is what distinguishes HMC
 from GenMC: the model supplies the prefix relation
@@ -93,7 +95,7 @@ def replay_matches(program: Program, graph: ExecutionGraph) -> bool:
 
 
 def backward_revisits(
-    graph: ExecutionGraph,
+    placements: list[ExecutionGraph],
     write: Event,
     program: Program,
     model: MemoryModel,
@@ -102,32 +104,107 @@ def backward_revisits(
     obs=NULL_OBSERVER,
 ) -> list[ExecutionGraph]:
     """All valid revisited graphs produced by the freshly added
-    ``write``.  ``graph`` must already contain ``write`` (at some
-    coherence position) and be consistent."""
+    ``write``, over every coherence placement of it.
+
+    ``placements`` are graphs that contain ``write`` and differ only in
+    where it sits in its location's coherence order: the explorer
+    passes all of them, consistent or not, in the order it made them,
+    and the output is placement-major.
+
+    Only the revisited graph depends on the placement: the prefix
+    relation reads no co (see :meth:`MemoryModel.prefix_preds`), the
+    kept set reads only stamps and po ∪ rf, maximality never looks at
+    ``write`` (it has the largest stamp) and replay reads only labels
+    and read values.  So each candidate read's kept set, maximality
+    verdict and replay verdict are computed once, and a graph is built
+    and checked only for the first placement that puts ``write`` at a
+    new position among the read's kept writes.  A later placement at a
+    known position restricts to the same graph, a *twin*: it counts
+    and is traced under that graph's verdict, runs no check, and is not
+    returned (the explorer's revisit memo would drop it).
+    """
+    first = placements[0]
+    loc = first.label(write).location
+    all_reads = first.reads(loc)
+    candidates, _prefix = revisit_candidates(first, write, model)
+    plans = [_Candidate(first, write, read, options) for read in candidates]
+    in_prefix = set(all_reads) - set(candidates) if obs.trace_enabled else ()
+    wref = [write.tid, write.index]
     out: list[ExecutionGraph] = []
-    candidates, _prefix = revisit_candidates(graph, write, model)
-    all_reads = graph.reads(graph.label(write).location)  # type: ignore[arg-type]
-    stats.revisits_considered += len(all_reads)
-    stats.revisits_rejected_prefix += len(all_reads) - len(candidates)
-    if obs.trace_enabled:
-        wref = [write.tid, write.index]
-        in_prefix = set(all_reads) - set(candidates)
-        for read in all_reads:
-            obs.emit(
-                "revisit_considered",
-                read=[read.tid, read.index],
-                write=wref,
-            )
-            if read in in_prefix:
+    for graph in placements:
+        stats.revisits_considered += len(all_reads)
+        stats.revisits_rejected_prefix += len(all_reads) - len(candidates)
+        if obs.trace_enabled:
+            for read in all_reads:
                 obs.emit(
-                    "revisit_rejected",
+                    "revisit_considered",
                     read=[read.tid, read.index],
                     write=wref,
-                    reason="prefix",
                 )
-    for read in candidates:
-        kept = revisit_kept_set(graph, write, read)
-        deleted = [e for e in graph.events() if e not in kept]
+                if read in in_prefix:
+                    obs.emit(
+                        "revisit_rejected",
+                        read=[read.tid, read.index],
+                        write=wref,
+                        reason="prefix",
+                    )
+        order = graph.co_order(loc)
+        co_before = order[: order.index(write)]
+        for plan in plans:
+            revisited = None
+            verdict = plan.rejected
+            if verdict is None:
+                position = sum(1 for w in co_before if w in plan.kept)
+                verdict = plan.verdicts.get(position)
+                if verdict is None:
+                    revisited = plan.revisit(graph, write)
+                    verdict = plan.judge(
+                        revisited, program, model, options, stats
+                    )
+                    plan.verdicts[position] = verdict
+            read = plan.read
+            if verdict == "performed":
+                stats.revisits_performed += 1
+                if obs.enabled:
+                    obs.observe("revisit_deleted", plan.deleted)
+                    if obs.trace_enabled:
+                        obs.emit(
+                            "revisit_performed",
+                            read=[read.tid, read.index],
+                            write=wref,
+                            deleted=plan.deleted,
+                        )
+                if revisited is not None:
+                    out.append(revisited)
+                continue
+            if verdict == "maximality":
+                stats.revisits_rejected_maximality += 1
+            elif verdict == "replay":
+                stats.revisits_rejected_replay += 1
+            else:
+                stats.revisits_rejected_inconsistent += 1
+            _emit_rejected(obs, read, write, verdict)
+    return out
+
+
+class _Candidate:
+    """One candidate read of a backward revisit: what no placement of
+    the revisiting write changes, and the verdict of each graph built
+    so far, keyed by the write's position among the kept writes."""
+
+    __slots__ = ("read", "kept", "deleted", "rejected", "verdicts")
+
+    def __init__(
+        self,
+        graph: ExecutionGraph,
+        write: Event,
+        read: Event,
+        options: ExplorationOptions,
+    ) -> None:
+        self.read = read
+        self.kept = revisit_kept_set(graph, write, read)
+        deleted = [e for e in graph.events() if e not in self.kept]
+        self.deleted = len(deleted)
         # Canonicity filter: only revisit from the exploration in which
         # every deleted event took its canonical (coherence-maximal)
         # choice — every other configuration of the deleted events is
@@ -135,39 +212,46 @@ def backward_revisits(
         # would-be duplicates; the residue (revisit chains reaching the
         # same graph along different coherence histories) is suppressed
         # by the explorer's canonical-hash check and reported.
-        if options.maximality_check and not all(
+        maximal = not options.maximality_check or all(
             maximally_added(graph, e) for e in deleted
-        ):
-            stats.revisits_rejected_maximality += 1
-            _emit_rejected(obs, read, write, "maximality")
-            continue
-        revisited = graph.restricted(kept)
-        revisited.set_rf(read, write)
+        )
+        #: a verdict that holds at every placement, or None
+        self.rejected: str | None = None if maximal else "maximality"
+        self.verdicts: dict[int, str] = {}
+
+    def revisit(self, graph: ExecutionGraph, write: Event) -> ExecutionGraph:
+        """``graph`` restricted to the kept set, the read redirected to
+        ``write``."""
+        revisited = graph.restricted(self.kept)
+        revisited.set_rf(self.read, write)
         # the read is conceptually re-added: it reads a newer write, so
         # it gets a fresh stamp (and stays revisitable itself)
-        revisited.touch(read)
+        revisited.touch(self.read)
         revisited.renumber_stamps()
-        if options.validate_revisits and not replay_matches(program, revisited):
-            stats.revisits_rejected_replay += 1
-            _emit_rejected(obs, read, write, "replay")
-            continue
+        return revisited
+
+    def judge(
+        self,
+        revisited: ExecutionGraph,
+        program: Program,
+        model: MemoryModel,
+        options: ExplorationOptions,
+        stats: Stats,
+    ) -> str:
+        """The verdict on a newly built graph: ``"replay"``,
+        ``"inconsistent"`` or ``"performed"``.  Only the first graph is
+        replayed, and its failure rejects every placement."""
+        if (
+            options.validate_revisits
+            and not self.verdicts
+            and not replay_matches(program, revisited)
+        ):
+            self.rejected = "replay"
+            return "replay"
         stats.consistency_checks += 1
         if not model.is_consistent(revisited):
-            stats.revisits_rejected_inconsistent += 1
-            _emit_rejected(obs, read, write, "inconsistent")
-            continue
-        stats.revisits_performed += 1
-        if obs.enabled:
-            obs.observe("revisit_deleted", len(deleted))
-            if obs.trace_enabled:
-                obs.emit(
-                    "revisit_performed",
-                    read=[read.tid, read.index],
-                    write=[write.tid, write.index],
-                    deleted=len(deleted),
-                )
-        out.append(revisited)
-    return out
+            return "inconsistent"
+        return "performed"
 
 
 def _emit_rejected(obs, read: Event, write: Event, reason: str) -> None:

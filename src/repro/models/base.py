@@ -94,6 +94,11 @@ class MemoryModel(abc.ABC):
 
         The default — po-predecessor plus rf source — is the GenMC
         notion and is correct for every porf-acyclic model.
+
+        Contract: the result must not depend on the coherence order.
+        :func:`~repro.core.revisits.backward_revisits` computes a new
+        write's prefix once, on one of the write's coherence
+        placements, and uses it for all of them.
         """
         return porf_preds(graph, ev)
 

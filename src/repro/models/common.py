@@ -474,6 +474,10 @@ def hardware_prefix_preds(
     that ignore C11 annotations (POWER, coherence-only) must pass
     ``annotations=False`` or they would lose RMW-chained load-buffering
     executions involving annotated accesses.
+
+    The program-order part is one backward pass over the thread that
+    carries, per access class, whether a fence passed so far orders
+    that class before ``ev``.
     """
     preds: list[Event] = []
     lab = graph.label(ev)
@@ -493,28 +497,30 @@ def hardware_prefix_preds(
         partner = graph.exclusive_pair(ev)
         if partner is not None:
             preds.append(partner)
-    if ev.is_initial:
-        return preds
     cls_e = _access_class(graph, ev)
-    events = graph.thread_events(ev.tid)[: ev.index]
-    for i, p in enumerate(events):
-        plab = graph.label(p)
-        cls_p = _access_class(graph, p)
-        if cls_p is not None and cls_e is not None:
-            if plab.location == lab.location:
-                preds.append(p)
-                continue
-            if annotations and (
-                is_acquire_read(graph, p) or is_release_write(graph, ev)
+    if ev.is_initial or cls_e is None:
+        return preds
+    loc = lab.location
+    labels = graph._labels
+    earlier = graph._threads[ev.tid][: ev.index]
+    if annotations and is_release_write(graph, ev):
+        preds.extend(p for p in earlier if labels[p].is_access)
+        return preds
+    fenced_r = fenced_w = False
+    for p in reversed(earlier):
+        plab = labels[p]
+        if isinstance(plab, FenceLabel):
+            kind, order = plab.kind, plab.order
+            fenced_r = fenced_r or fence_orders(kind, order, "R", cls_e)
+            fenced_w = fenced_w or fence_orders(kind, order, "W", cls_e)
+        elif isinstance(plab, ReadLabel):
+            if (
+                fenced_r
+                or plab.loc == loc
+                or (annotations and plab.order.is_acquire())
             ):
                 preds.append(p)
-                continue
-            between = graph.thread_events(ev.tid)[i + 1 : ev.index]
-            for f in between:
-                flab = graph.label(f)
-                if isinstance(flab, FenceLabel) and fence_orders(
-                    flab.kind, flab.order, cls_p, cls_e
-                ):
-                    preds.append(p)
-                    break
+        elif isinstance(plab, WriteLabel):
+            if fenced_w or plab.loc == loc:
+                preds.append(p)
     return preds

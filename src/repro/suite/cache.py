@@ -31,8 +31,9 @@ from ..core.report import to_dict
 #: changes (part of the key, so a bump orphans old entries rather than
 #: misreading them).  2: a pooled task's counts are always those of a
 #: whole run; schema-1 entries may hold a sharded run's blocked and
-#: duplicate counts.
-CACHE_SCHEMA_VERSION = 2
+#: duplicate counts.  3: ``stats.consistency_checks`` leaves out the
+#: checks a revisit twin no longer runs (docs/ALGORITHM.md).
+CACHE_SCHEMA_VERSION = 3
 
 #: the ``kind`` tag inside every entry file
 CACHE_ENTRY_KIND = "repro-suite-cache-entry"

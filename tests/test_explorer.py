@@ -189,7 +189,7 @@ STATS_FIELDS = (
 VISITING_ORDER_PINS = {
     "seqlock(2,2)/rc11": (
         seqlock(2, 2), "rc11", {}, (9, 4484, 0, 1),
-        (2882, 2872, 10, 12150, 22, 48, 2, 45, 0, 0, 1, 12175),
+        (2882, 2872, 10, 12150, 22, 48, 2, 45, 0, 0, 1, 12174),
     ),
     "fib(3)/tso": (
         fib_bench(3), "tso", {}, (175, 0, 0, 0),
@@ -197,19 +197,19 @@ VISITING_ORDER_PINS = {
     ),
     "ticket-lock(3)/sc": (
         ticket_lock(3), "sc", {}, (6, 62, 6, 0),
-        (245, 107, 138, 248, 315, 753, 69, 616, 21, 0, 47, 679),
+        (245, 107, 138, 248, 315, 753, 69, 616, 21, 0, 47, 647),
     ),
     "barrier(3)/ra": (
         barrier(3), "ra", {}, (6, 121, 14, 0),
-        (551, 464, 87, 1209, 230, 945, 122, 504, 45, 0, 274, 1835),
+        (551, 464, 87, 1209, 230, 945, 122, 504, 45, 0, 274, 1781),
     ),
     "ainc(4)/imm": (
         ainc(4), "imm", {}, (120, 77, 85, 0),
-        (307, 89, 218, 355, 742, 2816, 368, 1889, 0, 0, 559, 2024),
+        (307, 89, 218, 355, 742, 2816, 368, 1889, 0, 0, 559, 1713),
     ),
     "ticket-lock(3)/imm": (
         ticket_lock(3), "imm", {"stop_on_error": False}, (36, 106, 36, 96),
-        (471, 208, 263, 604, 671, 1767, 79, 1526, 105, 0, 57, 1411),
+        (471, 208, 263, 604, 671, 1767, 79, 1526, 105, 0, 57, 1379),
     ),
     "lastzero(3)/armv8": (
         lastzero(3), "armv8", {}, (32, 0, 12, 0),

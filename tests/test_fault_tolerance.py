@@ -12,11 +12,13 @@ workers crash (SIGKILL themselves), hang, or raise — once (marker file)
 or on every attempt (no marker, exercising the serial-fallback path).
 """
 
+import gc
 import multiprocessing
 import os
 import signal
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -580,6 +582,37 @@ class TestCancellationAccounting:
             if rec["t"] == "run_end" and "worker" in rec
         )
         assert folded_runs == collected
+
+
+class TestIdleSupervisorHoldsNoRun:
+    """The service drives every job through one long-lived supervisor,
+    so a finished run must leave nothing of its caller on it."""
+
+    def test_observer_and_payloads_are_released(self, tmp_path):
+        from repro.suite import litmus_task, run_suite
+
+        supervisor = PoolSupervisor(multiprocessing.get_context(), 2)
+        obs = Observer.in_memory()
+        try:
+            suite = run_suite(
+                [litmus_task("SB", "sc"), litmus_task("MP", "tso")],
+                jobs=2,
+                cache=str(tmp_path),
+                observer=obs,
+                supervisor=supervisor,
+            )
+            observed = weakref.ref(obs)
+            del obs
+            gc.collect()
+            assert observed() is None
+            assert supervisor._fn is None
+            assert supervisor._payloads == []
+            # what callers read after the run stays
+            assert suite.acct == supervisor.acct
+            assert supervisor.cancelled == 0
+            assert [s.attempts for s in supervisor.states] == [1, 1]
+        finally:
+            supervisor.close()
 
 
 class TestNoWorkerOutlivesItsOwner:

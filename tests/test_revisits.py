@@ -1,6 +1,12 @@
 """Unit tests for the revisit machinery itself."""
 
-from repro.core import ExplorationOptions
+from pathlib import Path
+
+import pytest
+
+import repro.models
+from repro.bench.workloads import ainc, ticket_lock
+from repro.core import ExplorationOptions, Explorer
 from repro.core.result import Stats
 from repro.core.revisits import (
     backward_revisits,
@@ -9,9 +15,11 @@ from repro.core.revisits import (
     revisit_candidates,
 )
 from repro.events import ReadLabel, WriteLabel
-from repro.graphs import ExecutionGraph
+from repro.graphs import ExecutionGraph, canonical_key, revisit_kept_set
 from repro.lang import ProgramBuilder
-from repro.models import get_model
+from repro.litmus import all_litmus_tests
+from repro.models import get_model, load_cat, model_names
+from repro.util.randprog import RandomProgramGenerator
 
 
 def lb_program():
@@ -93,7 +101,7 @@ class TestBackwardRevisits:
         program = lb_program()
         g, wx = lb_graph_before_last_write()
         out = backward_revisits(
-            g, wx, program, get_model("imm"), ExplorationOptions(), Stats()
+            [g], wx, program, get_model("imm"), ExplorationOptions(), Stats()
         )
         assert len(out) == 1
         revisited = out[0]
@@ -107,7 +115,7 @@ class TestBackwardRevisits:
         g, wx = lb_graph_before_last_write()
         stats = Stats()
         out = backward_revisits(
-            g, wx, program, get_model("rc11"), ExplorationOptions(), stats
+            [g], wx, program, get_model("rc11"), ExplorationOptions(), stats
         )
         assert out == []
         assert stats.revisits_rejected_prefix > 0
@@ -144,7 +152,7 @@ class TestBackwardRevisits:
 
         stats = Stats()
         out = backward_revisits(
-            g, wx, program, NoDepPrefix(), ExplorationOptions(), stats
+            [g], wx, program, NoDepPrefix(), ExplorationOptions(), stats
         )
         assert out == []
         assert stats.revisits_rejected_replay > 0
@@ -153,3 +161,171 @@ class TestBackwardRevisits:
         program = lb_program()
         g, _ = lb_graph_before_last_write()
         assert replay_matches(program, g)
+
+
+# -- one call per write against one call per placement ----------------------
+
+
+class _Recorder:
+    """An observer stand-in that keeps every record and observation."""
+
+    enabled = trace_enabled = True
+
+    def __init__(self):
+        self.records = []
+
+    def emit(self, type_, **fields):
+        self.records.append((type_, fields))
+
+    def observe(self, name, value):
+        self.records.append((name, value))
+
+
+def per_placement_revisits(graph, write, program, model, options, stats, obs):
+    """The reference: the revisits of one placement graph on its own,
+    each candidate's graph built and checked afresh."""
+    out = []
+    candidates, _ = revisit_candidates(graph, write, model)
+    reads = graph.reads(graph.label(write).location)
+    stats.revisits_considered += len(reads)
+    stats.revisits_rejected_prefix += len(reads) - len(candidates)
+    wref = [write.tid, write.index]
+    for read in reads:
+        rref = [read.tid, read.index]
+        obs.emit("revisit_considered", read=rref, write=wref)
+        if read not in candidates:
+            obs.emit("revisit_rejected", read=rref, write=wref, reason="prefix")
+    for read in candidates:
+        rref = [read.tid, read.index]
+        kept = revisit_kept_set(graph, write, read)
+        deleted = [e for e in graph.events() if e not in kept]
+        if options.maximality_check and not all(
+            maximally_added(graph, e) for e in deleted
+        ):
+            stats.revisits_rejected_maximality += 1
+            obs.emit(
+                "revisit_rejected", read=rref, write=wref, reason="maximality"
+            )
+            continue
+        revisited = graph.restricted(kept)
+        revisited.set_rf(read, write)
+        revisited.touch(read)
+        revisited.renumber_stamps()
+        if options.validate_revisits and not replay_matches(program, revisited):
+            stats.revisits_rejected_replay += 1
+            obs.emit("revisit_rejected", read=rref, write=wref, reason="replay")
+            continue
+        stats.consistency_checks += 1
+        if not model.is_consistent(revisited):
+            stats.revisits_rejected_inconsistent += 1
+            obs.emit(
+                "revisit_rejected", read=rref, write=wref, reason="inconsistent"
+            )
+            continue
+        stats.revisits_performed += 1
+        obs.observe("revisit_deleted", len(deleted))
+        obs.emit(
+            "revisit_performed", read=rref, write=wref, deleted=len(deleted)
+        )
+        out.append(revisited)
+    return out
+
+
+def _memo_key(graph):
+    """The explorer's revisit-memo key."""
+    return (
+        canonical_key(graph),
+        tuple((e.tid, e.index) for e in graph.events_by_stamp()),
+    )
+
+
+class PerPlacementCheck(Explorer):
+    """An explorer that, at every write step, runs the one call over
+    all placements and the per-placement reference side by side: the
+    output must be the reference's with repeats dropped, and the
+    counters and records the same but for the checks a twin skips."""
+
+    saved_checks = 0
+
+    def _collect_revisits(self, placements, successors):
+        graphs = [extended for extended, _, _ in placements]
+        write = placements[0][1]
+        first = graphs[0]
+        candidates = revisit_candidates(first, write, self.model)
+        for graph in graphs[1:]:
+            assert revisit_candidates(graph, write, self.model) == candidates
+            for read in candidates[0]:
+                assert revisit_kept_set(graph, write, read) == (
+                    revisit_kept_set(first, write, read)
+                )
+        args = (self.program, self.model, self.options)
+        stats, obs = Stats(), _Recorder()
+        out = backward_revisits(graphs, write, *args, stats, obs)
+        ref_stats, ref_obs = Stats(), _Recorder()
+        ref = []
+        for graph in graphs:
+            ref += per_placement_revisits(
+                graph, write, *args, ref_stats, ref_obs
+            )
+        assert [_memo_key(g) for g in out] == list(
+            dict.fromkeys(map(_memo_key, ref))
+        )
+        assert obs.records == ref_obs.records
+        saved = ref_stats.consistency_checks - stats.consistency_checks
+        assert saved >= 0
+        ref_stats.consistency_checks = stats.consistency_checks
+        assert stats == ref_stats
+        self.saved_checks += saved
+        super()._collect_revisits(placements, successors)
+
+
+CAT_DIR = Path(repro.models.__file__).parent / "cat"
+
+
+def _differential_programs():
+    programs = [test.program for test in all_litmus_tests()]
+    for seed in (5, 17, 29):
+        generator = RandomProgramGenerator(
+            seed=seed, max_threads=3, max_stmts=4
+        )
+        programs += generator.programs(4)
+    return programs
+
+
+DIFFERENTIAL_PROGRAMS = _differential_programs()
+
+
+class TestOneCallPerWrite:
+    @pytest.mark.parametrize(
+        "model",
+        model_names() + sorted(p.name for p in CAT_DIR.glob("*.cat")),
+    )
+    def test_matches_per_placement_reference(self, model):
+        if model.endswith(".cat"):
+            model = load_cat(str(CAT_DIR / model))
+        saved = 0
+        for program in DIFFERENTIAL_PROGRAMS:
+            explorer = PerPlacementCheck(
+                program, model, ExplorationOptions(stop_on_error=False)
+            )
+            explorer.run()
+            saved += explorer.saved_checks
+        # the corpus has twins under every model
+        assert saved > 0
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"maximality_check": False}, {"validate_revisits": False}],
+        ids=["default", "no-maximality", "no-replay"],
+    )
+    @pytest.mark.parametrize(
+        "program,model",
+        [(ainc(3), "imm"), (ticket_lock(2), "sc"), (ticket_lock(2), "armv8")],
+        ids=["ainc(3)/imm", "ticket-lock(2)/sc", "ticket-lock(2)/armv8"],
+    )
+    def test_families_and_ablations(self, program, model, overrides):
+        options = ExplorationOptions(stop_on_error=False, **overrides)
+        explorer = PerPlacementCheck(program, model, options)
+        result = explorer.run()
+        assert result.executions > 0
+        assert explorer.saved_checks > 0
