@@ -441,8 +441,3 @@ class Env:
             constraint.column,
         )
 
-
-def check_all(spec: CatSpec, graph: ExecutionGraph) -> bool:
-    """Do all of ``spec``'s constraints hold on ``graph``?"""
-    env = Env(graph, spec)
-    return all(env.check(c) for c in spec.constraints)

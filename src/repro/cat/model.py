@@ -35,7 +35,7 @@ from ..graphs import ExecutionGraph, porf_preds
 from ..graphs.incremental import incremental_enabled
 from ..models.base import MemoryModel
 from ..models.common import hardware_prefix_preds, minimal_prefix_preds
-from ..obs import NULL_OBSERVER
+from ..obs.profile import _STATE as _PROFILE
 from ..relations import Relation
 from .ast import CatSpec
 from .errors import CatError, CatSyntaxError
@@ -116,21 +116,22 @@ class CatModel(MemoryModel):
     def env(self, graph: ExecutionGraph) -> Env:
         """The (memoised) evaluation environment for ``graph``.
 
-        Entries live in ``graph._aux`` (keyed per model), so a copied
-        graph starts out with its parent's environment: a same-version
-        entry is returned as-is, and a stale one is *advanced* through
-        the graph's delta log (base-set memos extended in place, see
-        :meth:`Env.advanced`) rather than rebuilt from nothing.
+        Entries live in ``graph._derived`` (keyed per model), so a
+        copied graph starts out with its parent's environment: a
+        same-version entry is returned as-is, and a stale one is
+        *advanced* through the graph's delta log (base-set memos
+        extended in place, see :meth:`Env.advanced`) rather than
+        rebuilt from nothing.
 
-        When an observer is attached (one run of the explorer), the
-        environment profiles its memo hits/misses and fixpoint rounds
-        into the observer's registry — see :class:`Env`.
+        In an observed run the environment profiles its memo
+        hits/misses and fixpoint rounds into the run's registry (the
+        one :class:`repro.obs.profile.activation` installs) — see
+        :class:`Env`.
         """
-        obs = self._observer
-        profiler = getattr(obs, "metrics", None) if obs.enabled else None
+        profiler = _PROFILE.registry
         version = graph._version
         key = ("cat-env", self)
-        entry = graph._aux.get(key)
+        entry = graph._derived.get(key)
         if entry is not None and entry[1]._profiler is profiler:
             if entry[0] == version:
                 return entry[1]
@@ -138,10 +139,10 @@ class CatModel(MemoryModel):
                 deltas = graph.deltas_since(entry[0])
                 if deltas is not None:
                     env = entry[1].advanced(graph, deltas, profiler=profiler)
-                    graph._aux[key] = (version, env)
+                    graph._derived[key] = (version, env)
                     return env
         env = Env(graph, self.spec, profiler=profiler)
-        graph._aux[key] = (version, env)
+        graph._derived[key] = (version, env)
         return env
 
     def axiom_holds(self, graph: ExecutionGraph) -> bool:
@@ -180,9 +181,8 @@ class CatModel(MemoryModel):
 
     # -- pickling --------------------------------------------------------
     #
-    # Ship the source text and identity only: the parse is cheap, the
-    # per-graph memo is process-local, and the observer is attached per
-    # run by the explorer.
+    # Ship the source text and identity only: the parse is cheap and
+    # the per-graph memo is process-local.
 
     def __getstate__(self):
         return {
@@ -194,7 +194,6 @@ class CatModel(MemoryModel):
     def __setstate__(self, state):
         spec = parse_cat(state["source"], state["filename"])
         self.__init__(spec, name=state["name"], filename=state["filename"])
-        self._observer = NULL_OBSERVER
 
     def __repr__(self) -> str:
         origin = f" from {self.filename}" if self.filename else ""

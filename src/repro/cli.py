@@ -84,6 +84,7 @@ from .obs import (
     format_summary,
     summarize_file,
 )
+from .obs.progress import check_cadence
 
 
 def _find_program(family: str, n: int):
@@ -161,6 +162,15 @@ def _task_timeout_arg(text: str) -> float:
     :func:`~repro.core.config.check_task_timeout`."""
     try:
         return check_task_timeout(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _progress_arg(text: str) -> float:
+    """``--progress``'s type: seconds that pass
+    :func:`~repro.obs.progress.check_cadence`."""
+    try:
+        return check_cadence(None, float(text))[1]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -1055,7 +1065,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify_p.add_argument(
         "--progress",
-        type=float,
+        type=_progress_arg,
         nargs="?",
         const=2.0,
         metavar="SECONDS",

@@ -8,7 +8,7 @@ incremental consistency checking can be turned off (A2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 def check_task_timeout(value: float | None) -> float | None:
@@ -25,6 +25,11 @@ def check_task_timeout(value: float | None) -> float | None:
             f"task_timeout must be a finite number > 0 or None, got {value}"
         )
     return value
+
+
+#: annotation -> the one type a field so annotated accepts (plus None
+#: when the annotation allows it)
+_STRICT_TYPES = {"bool": bool, "int": int}
 
 
 @dataclass(frozen=True)
@@ -44,9 +49,8 @@ class ExplorationOptions:
     #: enforce the TruSt maximality condition on deleted events
     #: (disabling multiplies duplicates — ablation A1)
     maximality_check: bool = True
-    #: deduplicate complete executions by canonical graph hashing;
-    #: None = automatic, which deduplicates under every model
-    deduplicate: bool | None = None
+    #: deduplicate complete executions by canonical graph hashing
+    deduplicate: bool = True
     #: check model consistency after every event addition instead of
     #: only at completion (ablation A2)
     incremental_checks: bool = True
@@ -60,9 +64,6 @@ class ExplorationOptions:
     #: (unless the ``REPRO_JOBS`` environment variable overrides it),
     #: 0 = one per CPU, N >= 1 = exactly N (1 degenerates to serial)
     jobs: int | None = None
-    #: how many subtree tasks to carve out per worker; more tasks give
-    #: better load balance at the cost of more coordinator splitting
-    oversubscription: int = 4
     #: record one (canonical key, outcome, final state) record per
     #: distinct execution, enabling cross-process merge reconciliation
     #: (set automatically on parallel workers)
@@ -77,6 +78,17 @@ class ExplorationOptions:
     task_retries: int = 2
 
     def __post_init__(self) -> None:
+        # flags must be bools and counts ints: truthiness would read
+        # "false" as on, and a bool count is silently 0 or 1
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if value is None and spec.type.endswith("None"):
+                continue
+            expected = _STRICT_TYPES.get(spec.type.split()[0])
+            if expected is not None and type(value) is not expected:
+                raise TypeError(
+                    f"{spec.name} must be {expected.__name__}, got {value!r}"
+                )
         if self.max_events <= 0:
             raise ValueError(
                 f"max_events must be positive, got {self.max_events}"
@@ -91,10 +103,6 @@ class ExplorationOptions:
             )
         if self.jobs is not None and self.jobs < 0:
             raise ValueError(f"jobs must be >= 0 or None, got {self.jobs}")
-        if self.oversubscription < 1:
-            raise ValueError(
-                f"oversubscription must be >= 1, got {self.oversubscription}"
-            )
         check_task_timeout(self.task_timeout)
         if self.task_retries < 0:
             raise ValueError(

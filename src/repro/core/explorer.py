@@ -64,8 +64,7 @@ class Explorer:
         #: cached so the hot path pays one attribute load, not a
         #: no-op context-manager / kwargs construction, when disabled
         self._timed = observer.enabled
-        dedup = self.options.deduplicate
-        self._dedup = True if dedup is None else dedup
+        self._dedup = self.options.deduplicate
         self._collect_keys = self.options.collect_keys
         self._seen: set = set()
         #: revisit-produced states already scheduled.  Exploration is a
@@ -100,11 +99,10 @@ class Explorer:
             else ExecutionGraph(self.program.location_bases())
         )
         stack: list[ExecutionGraph] = [root]
-        # models are registry singletons: attach the observer for this
-        # run only, and always detach it again.  The profile activation
-        # makes the same registry visible to the observer-less hot
-        # paths (derived relations) for exactly the same window.
-        self.model.set_observer(obs)
+        # the profile activation makes the observer's registry visible
+        # to the observer-less hot paths (the models' consistency
+        # checks, derived relations, .cat environments) for this run
+        # only, and always restores the previous target
         try:
             with profile_activation(obs):
                 while stack:
@@ -120,8 +118,6 @@ class Explorer:
                         break
         except _SearchLimit:
             self.result.truncated = True
-        finally:
-            self.model.set_observer(NULL_OBSERVER)
         self.result.elapsed = time.perf_counter() - start
         if obs.enabled:
             self.result.phase_times = obs.phase_report()

@@ -14,9 +14,9 @@ The engine has three phases:
 
 1. **Split** — the coordinator expands the DFS root breadth-first,
    re-splitting the shallowest branch points until at least
-   ``jobs × oversubscription`` independent subtree prefixes exist (or
-   the whole search completes during splitting, in which case no pool
-   is spawned at all).  Completions, blocked graphs and errors hit
+   ``jobs ×`` :data:`OVERSUBSCRIPTION` independent subtree prefixes
+   exist (or the whole search completes during splitting, in which
+   case no pool is spawned at all).  Completions, blocked graphs and errors hit
    while splitting are recorded in the coordinator's partial result.
 2. **Dispatch** — each prefix becomes a pickled :data:`Task`
    ``(program, model, options, prefix graph, telemetry context)`` run
@@ -78,6 +78,10 @@ from .config import ExplorationOptions
 from .explorer import Explorer, _SearchLimit, effective_jobs
 from .result import VerificationResult, merge_phase_times
 
+#: subtree tasks carved out per worker: more tasks give better load
+#: balance at the cost of more coordinator splitting
+OVERSUBSCRIPTION = 4
+
 #: one unit of work: (program, model spec, options, prefix graph,
 #: telemetry context).  The model spec is the registry name for
 #: registered models, and the pickled model object itself otherwise
@@ -127,7 +131,7 @@ def shardable(options: ExplorationOptions) -> bool:
     return (
         options.max_executions is None
         and options.max_explored is None
-        and options.deduplicate is not False
+        and options.deduplicate
     )
 
 
@@ -156,10 +160,10 @@ def split_frontier(
         [ExecutionGraph(program.location_bases())]
     )
     aborted = False
-    coordinator.model.set_observer(observer)
     try:
         # _step bypasses Explorer.run(), so the profile hook used by the
-        # observer-less hot paths (graph_cached memoisation) is armed here
+        # observer-less hot paths (consistency checks, graph_cached
+        # memoisation) is armed here
         with _profile_activation(observer):
             while frontier and len(frontier) < target:
                 graph = frontier.popleft()
@@ -175,8 +179,6 @@ def split_frontier(
     except _SearchLimit:
         coordinator.result.truncated = True
         aborted = True
-    finally:
-        coordinator.model.set_observer(NULL_OBSERVER)
     return list(frontier), coordinator.result, aborted
 
 
@@ -615,7 +617,7 @@ def verify_parallel(
             threads=program.num_threads,
             jobs=jobs,
         )
-    target = jobs * options.oversubscription
+    target = jobs * OVERSUBSCRIPTION
     # workers (and the splitting coordinator) record per-execution
     # canonical keys so the merge can reconcile cross-worker duplicates
     split_options = replace(options, collect_keys=True, jobs=None)
@@ -673,7 +675,6 @@ def verify_parallel(
             "jobs": jobs,
             "tasks": len(frontier),
             "tasks_cancelled": supervisor.cancelled,
-            "oversubscription": options.oversubscription,
             **supervisor.acct,
         }
     )

@@ -11,17 +11,18 @@ from ``po``/``rf``/``co``.  This module computes them as
 
 Initialisation writes count as external to every thread.
 
-Relations are memoised *on the graph* (``graph._derived``) and the
-memo travels through :meth:`ExecutionGraph.copy`, so the exploration's
+Relations are memoised *on the graph*, in its one per-lineage cache
+(``graph._derived``, which also holds the consistency checks' state
+and the ``.cat`` environments), and the memo travels through
+:meth:`ExecutionGraph.copy`, so the exploration's
 copy-one-event-extend pattern pays per-delta cost: each
 :func:`graph_cached` relation carries a *delta function* mapping one
 mutation record (see the graph's delta log) to the pairs it adds, and
 a stale cache entry is brought current with
-:meth:`Relation.extended` instead of recomputed.  Relations that are
-not extend-only under event addition either register a custom
-incremental updater (``eco``) or none at all (``co_imm`` — a
-mid-order insertion *removes* an immediate pair, and the relation is
-cheap enough to rebuild).
+:meth:`Relation.extended` instead of recomputed.  Values that are not
+extend-only pair sets register a custom incremental updater instead
+(``eco``, the hb-predecessor maps and the SC-event lists of
+:mod:`repro.models.c11`).
 
 Delta functions are written against the *current* graph state, which
 makes late replay safe: every emitted pair involves the delta's own
@@ -33,7 +34,7 @@ forces recomputation.
 
 from __future__ import annotations
 
-from ..events import Event, FenceLabel, Label, ReadLabel, WriteLabel
+from ..events import Event, FenceLabel, ReadLabel, WriteLabel
 from ..obs.profile import _STATE as _PROFILE
 from ..relations import Relation, same, union
 from .graph import ExecutionGraph
@@ -41,8 +42,9 @@ from .incremental import _FLAGS, check_equal
 
 
 def graph_cached(fn):
-    """Memoise a Relation-valued function of one graph (or a map-valued
-    one, like the hb-predecessor maps of :mod:`repro.models.c11`).
+    """Memoise a Relation-valued function of one graph (or one valued
+    in another immutable-by-convention type, like the hb-predecessor
+    maps and SC-event tuples of :mod:`repro.models.c11`).
 
     Entries live in ``graph._derived`` keyed by name and tagged with
     the graph's lineage version, so a copied graph starts out with its
@@ -55,8 +57,8 @@ def graph_cached(fn):
     takes a ``(graph, delta) -> iterable of pairs`` function (the
     common, extend-only case — it also feeds the incremental
     acyclicity checker), while ``@fn.register_incremental`` takes a
-    full ``(graph, old, deltas) -> Relation`` updater for relations
-    with structure beyond added pairs.  A delta rule registered with
+    full ``(graph, old, deltas) -> value`` updater for values with
+    structure beyond added pairs.  A delta rule registered with
     ``@fn.register_delta_pairs(forward=True)`` promises that every
     pair ``(a, b)`` it emits has ``b`` equal to the delta's event or
     added after it, and ``a`` added before ``b``: such edges can never
@@ -165,27 +167,6 @@ def _po_delta(graph, delta):
 
 
 @graph_cached
-def po_imm(graph: ExecutionGraph) -> Relation:
-    """Immediate (non-transitive) program order."""
-    rel = Relation()
-    for tid in graph.thread_ids():
-        events = graph.thread_events(tid)
-        for a, b in zip(events, events[1:]):
-            rel.add(a, b)
-    return rel
-
-
-@po_imm.register_delta_pairs
-def _po_imm_delta(graph, delta):
-    if delta[0] != "event":
-        return ()
-    ev = delta[1]
-    if ev.index == 0:
-        return ()
-    return [(graph._threads[ev.tid][ev.index - 1], ev)]
-
-
-@graph_cached
 def po_loc(graph: ExecutionGraph) -> Relation:
     """Program order restricted to same-location accesses."""
     rel = Relation()
@@ -280,18 +261,6 @@ def _co_delta(graph, delta):
     out = [(w, ev) for w in order[:pos]]
     out.extend((ev, w) for w in order[pos + 1:])
     return out
-
-
-@graph_cached
-def co_imm(graph: ExecutionGraph) -> Relation:
-    # no incremental updater: a mid-order coherence insertion *removes*
-    # the immediate pair it splits, which extend-only deltas cannot say
-    rel = Relation()
-    for loc in graph.locations():
-        order = graph.co_order(loc)
-        for a, b in zip(order, order[1:]):
-            rel.add(a, b)
-    return rel
 
 
 @graph_cached
@@ -629,6 +598,3 @@ def is_read(graph: ExecutionGraph, e: Event) -> bool:
 def is_write(graph: ExecutionGraph, e: Event) -> bool:
     return isinstance(graph.label(e), WriteLabel)
 
-
-def label_of(graph: ExecutionGraph, e: Event) -> Label:
-    return graph.label(e)

@@ -51,7 +51,6 @@ class ExecutionGraph:
         "_init_by_loc",
         "_version",
         "_derived",
-        "_aux",
         "_deltas",
         "_delta_base",
         "__weakref__",
@@ -69,13 +68,11 @@ class ExecutionGraph:
         #: *inherited* by copies, so a cache entry tagged with a version
         #: can never be mistaken for fresh after a mutate-after-copy
         self._version = 0
-        #: per-graph derived-relation cache: name -> (version, value);
-        #: handed to copies so children extend instead of recompute
+        #: per-lineage state: key -> (version, ...), handed to copies so
+        #: children extend instead of recompute.  It holds the derived
+        #: relations, the verified versions and topological orders of
+        #: the consistency checks and the ``.cat`` environments.
         self._derived: dict = {}
-        #: auxiliary incremental state (topological orders of the
-        #: acyclicity checker, cat evaluation environments):
-        #: key -> (version, payload); handed to copies like _derived
-        self._aux: dict = {}
         #: typed mutation log: one record per version bump, so a cache
         #: entry at version v is brought current by replaying
         #: ``deltas_since(v)``.  Records are ("init", ev) for a new
@@ -145,7 +142,6 @@ class ExecutionGraph:
         # safe; the entry tuples themselves are replaced, never mutated.
         dup._version = self._version
         dup._derived = dict(self._derived)
-        dup._aux = dict(self._aux)
         base, deltas = self._delta_base, self._deltas
         if deltas:
             # trim records older than the oldest cached value: nothing
@@ -154,10 +150,6 @@ class ExecutionGraph:
                 (entry[0] for entry in dup._derived.values()),
                 default=self._version,
             )
-            if dup._aux:
-                oldest = min(
-                    oldest, min(entry[0] for entry in dup._aux.values())
-                )
             if oldest > base:
                 deltas = deltas[oldest - base:]
                 base = oldest
@@ -285,10 +277,6 @@ class ExecutionGraph:
     def thread_size(self, tid: int) -> int:
         return len(self._threads.get(tid, ()))
 
-    def last_event(self, tid: int) -> Event | None:
-        thread = self._threads.get(tid)
-        return thread[-1] if thread else None
-
     def init_events(self) -> list[Event]:
         return list(self._init_by_loc.values())
 
@@ -385,7 +373,6 @@ class ExecutionGraph:
         # the version stays on the parent's monotonic lineage
         dup._version = self._version
         dup._derived = {}
-        dup._aux = {}
         dup._deltas = []
         dup._delta_base = dup._version
         dup._init_by_loc = dict(self._init_by_loc)
@@ -434,11 +421,10 @@ class ExecutionGraph:
     # -- pickling -----------------------------------------------------------------
     #
     # Graphs ride through process pools (subtree dispatch, execution
-    # records).  The derived-relation cache, auxiliary incremental
-    # state and mutation log are process-local derived data — cheap to
-    # rebuild and potentially holding unpicklable payloads (profiler
-    # references inside cat environments) — so pickles carry only the
-    # defining components.
+    # records).  The per-lineage cache and the mutation log are
+    # process-local derived data — cheap to rebuild and potentially
+    # holding unpicklable payloads (profiler references inside cat
+    # environments) — so pickles carry only the defining components.
 
     def __getstate__(self):
         return (
@@ -464,7 +450,6 @@ class ExecutionGraph:
             self._version,
         ) = state
         self._derived = {}
-        self._aux = {}
         self._deltas = []
         self._delta_base = self._version
 

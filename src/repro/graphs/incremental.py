@@ -1,14 +1,17 @@
 """Incremental consistency machinery: mode flags, the differential
-cross-check, and a Pearce–Kelly-style incremental acyclicity checker.
+cross-check, the verified-version rule and a Pearce–Kelly-style
+incremental acyclicity checker.
 
 The exploration core copies a graph per candidate extension and every
 copy differs from its parent by exactly one event, so consistency
 checks dominated exploration cost by recomputing derived relations and
 re-running a full cycle search on near-identical graphs.  This module
-holds the pieces that turn those checks into per-delta work:
+holds the pieces that turn those checks into per-delta work.  All of
+their state is *per-lineage*: a ``(version, ...)`` entry in the
+graph's one cache, ``graph._derived``, handed to copies with it.
 
 * **Flags.**  ``REPRO_INCREMENTAL`` (default on) enables incremental
-  maintenance of derived relations and acyclicity orders;
+  maintenance of derived relations and check state;
   ``REPRO_CHECK_INCREMENTAL=1`` arms *differential* mode, in which
   every incrementally produced value is recomputed from scratch and
   compared — the correctness harness CI runs.  Both are re-read from
@@ -17,48 +20,50 @@ holds the pieces that turn those checks into per-delta work:
   workers); tests flip them directly via :func:`set_incremental` /
   :func:`set_differential`.
 
-* **Acyclicity.**  :func:`acyclic_check` maintains an online
-  topological order per ``(graph, relation family)`` in the graph's
-  auxiliary cache.  A family names the :func:`graph_cached` components
-  whose union the axiom requires acyclic; on each check only the edges
-  inserted since the stored order's version are verified, with new
-  nodes placed between the ordinals of their constraining neighbours.
-  When an inserted edge ``(x, y)`` contradicts the stored order, the
-  checker does the Pearce–Kelly affected-region repair (*A dynamic
-  topological sort algorithm for directed acyclic graphs*, JEA 2006):
-  the nodes forward-reachable from ``y`` within the ordinal window up
-  to ``x`` are shifted to just after ``x``, preserving their relative
-  order — which keeps every already-valid edge valid, so one pass over
-  the inserted edges restores a topological order or proves the edge
-  closes a cycle.  The union's adjacency rides along in the checker
-  state (extended copy-on-write per delta) to power the reachability
-  walk.  A genuine cycle — or exhausted float precision in the ordinal
-  arithmetic — falls back to the full DFS of
-  :meth:`Relation.is_acyclic` and rebuilds the order, so verdicts —
-  and the :meth:`Relation.find_cycle` explanations diagnosis derives
-  from the built relation — are unchanged.  A family whose components
-  all have *forward* delta rules needs no order at all: its added
-  edges cannot close a cycle, so a descendant is certified by
-  re-tagging the verified version.  The families that keep the order
-  are those with a ``co`` or ``fr`` component (sc, tso, pso,
-  armv8-ob).
+* **The verified-version rule** (:func:`verified`).  A passing check
+  stores the graph's version.  A descendant with a live delta log then
+  looks only at the deltas added since that version; a cut lineage
+  rescans.  It serves every check that only its deltas can break:
+  COH (:func:`coherent_check`), the forward acyclicity families, and
+  SC-per-location and RMW atomicity (:mod:`repro.models.common`).
 
 * **COH.**  :func:`coherent_check` verifies ``irreflexive(hb ; eco)``
   only for the events appended since the last verdict, with hb given
   as each event's set of hb-predecessors (see
   :func:`repro.models.c11.hb_pred`).
 
-SC-per-location and RMW atomicity, which every model checks, need no
-order either: :mod:`repro.models.common` checks them per appended
-event and per coherence insertion with the same verified-version tag.
+* **Acyclicity.**  :func:`acyclic_check` checks that the union of an
+  :class:`AcyclicFamily`'s :func:`graph_cached` components is acyclic.
+  A family whose components all have *forward* delta rules needs no
+  order at all: its added edges cannot close a cycle, so the
+  verified-version rule certifies a descendant without a look at its
+  deltas.  The families with a ``co`` or ``fr`` component (sc, tso,
+  pso, armv8-ob) keep an online topological order instead: on each
+  check only the edges inserted since the stored order's version are
+  verified, with new nodes placed between the ordinals of their
+  constraining neighbours.  When an inserted edge ``(x, y)``
+  contradicts the stored order, the checker does the Pearce–Kelly
+  affected-region repair (*A dynamic topological sort algorithm for
+  directed acyclic graphs*, JEA 2006): the nodes forward-reachable
+  from ``y`` within the ordinal window up to ``x`` are shifted to just
+  after ``x``, preserving their relative order — which keeps every
+  already-valid edge valid, so one pass over the inserted edges
+  restores a topological order or proves the edge closes a cycle.
+  The union's adjacency rides along in the checker state (extended
+  copy-on-write per delta) to power the reachability walk.  A lineage
+  cut or exhausted float precision in the ordinal arithmetic falls
+  back to the full DFS of :meth:`Relation.is_acyclic`, which rebuilds
+  the order with integer ordinals, so verdicts — and the
+  :meth:`Relation.find_cycle` explanations diagnosis derives from the
+  built relation — are unchanged.
 
-Profile counters (live under ``--stats``): ``acyclic:incremental_hit``
-when a stored order absorbs the inserted edges or a forward family is
-re-tagged, ``acyclic:fallback`` when a lineage cut strands the stored
-state or the order cannot absorb the edges, and the full DFS runs
-instead, ``coherent:incremental_hit`` for COH, and (from
-:mod:`repro.graphs.derived`) ``relation:<name>:incremental_hit`` when
-a cached relation is extended rather than recomputed.
+Profile counters (live under ``--stats``), one pair per check:
+``acyclic:``, ``coherent:`` (COH) and ``coherence:`` (SC-per-location
+and atomicity), each with ``incremental_hit`` when the stored state
+answered the check and ``fallback`` when a lineage cut (or, for an
+ordinal family, exhausted precision) sent it to the full check; and
+(from :mod:`repro.graphs.derived`) ``relation:<name>:incremental_hit``
+when a cached relation is extended rather than recomputed.
 """
 
 from __future__ import annotations
@@ -152,7 +157,65 @@ def check_equal(name: str, incremental, scratch) -> None:
     )
 
 
+# -- the verified-version rule ----------------------------------------------
+
+
+def verified(
+    graph: ExecutionGraph,
+    key,
+    counters: tuple[str, str],
+    on_deltas: Callable,
+    scan: Callable,
+    arg=None,
+    oracle: Callable | None = None,
+) -> bool:
+    """Run a check that only its deltas can break.
+
+    A passing check stores the graph's version (a 1-tuple) under
+    ``key`` in ``graph._derived``.  A descendant with a live delta log
+    then asks ``on_deltas(graph, deltas, arg)`` about the deltas added
+    since that version only, and counts ``counters[0]`` (the check's
+    ``:incremental_hit``).  A graph with no state runs
+    ``scan(graph, arg)``; so does a cut lineage (an rf redirect),
+    counting ``counters[1]`` (its ``:fallback``).
+    Failing graphs store nothing: the exploration discards them.
+
+    ``oracle`` (default ``scan``) is the from-scratch check: the whole
+    check with incremental mode off, and what differential mode
+    compares every other verdict with.
+    """
+    if oracle is None:
+        oracle = scan
+    if not _FLAGS.enabled:
+        return oracle(graph, arg)
+    state = graph._derived.get(key)
+    deltas = None
+    if state is not None:
+        deltas = graph.deltas_since(state[0])
+        reg = _PROFILE.registry
+        if reg is not None:
+            reg.inc(counters[1] if deltas is None else counters[0])
+    if deltas is None:
+        ok = scan(graph, arg)
+    else:
+        ok = on_deltas(graph, deltas, arg)
+    if (
+        _FLAGS.differential
+        and (deltas is not None or oracle is not scan)
+        and ok != oracle(graph, arg)
+    ):
+        raise IncrementalMismatch(
+            f"{key!r} check said {ok}; the from-scratch check disagrees"
+        )
+    if ok:
+        graph._derived[key] = (graph._version,)
+    return ok
+
+
 # -- incremental acyclicity --------------------------------------------------
+
+
+_ACYCLIC = ("acyclic:incremental_hit", "acyclic:fallback")
 
 
 class AcyclicFamily:
@@ -160,9 +223,10 @@ class AcyclicFamily:
     :func:`graph_cached` wrappers with registered delta functions) must
     be acyclic.  ``build`` materialises the union for full checks and
     diagnosis.  A family is ``forward`` when every component's delta
-    rule is (see :func:`graph_cached`)."""
+    rule is (see :func:`graph_cached`).  Its check state lives under
+    ``key`` in ``graph._derived``."""
 
-    __slots__ = ("name", "components", "build", "forward")
+    __slots__ = ("name", "components", "build", "forward", "key")
 
     def __init__(
         self,
@@ -181,132 +245,63 @@ class AcyclicFamily:
         self.components = components
         self.build = build
         self.forward = all(component.forward for component in components)
+        self.key = "acyc:" + name
 
 
 def acyclic_check(graph: ExecutionGraph, family: AcyclicFamily) -> bool:
     """Is the family's union acyclic on ``graph``?
 
     Verdicts are identical to ``family.build(graph).is_acyclic()``;
-    incrementality only changes the cost.  Acyclic graphs store their
-    (version-tagged) topological order in ``graph._aux`` so the next
-    check — typically on a child copy one event larger — verifies only
-    the inserted edges.  Cyclic graphs store nothing: the exploration
-    discards them.
+    incrementality only changes the cost.
 
-    A forward family stores only the verified version: every edge its
-    components add after that version goes from an older event to a
-    newer one, so the added events, in the order they were added,
-    extend any topological order of the verified union.  A descendant
-    with a live delta log is therefore acyclic without a look at its
-    deltas.
+    A forward family goes through the verified-version rule: every
+    edge its components add after the verified version goes from an
+    older event to a newer one, so the added events, in the order they
+    were added, extend any topological order of the verified union.  A
+    descendant with a live delta log is therefore acyclic without a
+    look at its deltas.
+
+    Any other family stores its (version-tagged) topological order so
+    the next check — typically on a child copy one event larger —
+    verifies only the inserted edges.  Cyclic graphs store nothing:
+    the exploration discards them.
     """
+    if family.forward:
+        return verified(
+            graph, family.key, _ACYCLIC, _forward_deltas, _family_acyclic,
+            family,
+        )
     if not _FLAGS.enabled:
         return family.build(graph).is_acyclic()
-    key = "acyc:" + family.name
-    version = graph._version
-    state = graph._aux.get(key)
-    reg = _PROFILE.registry
+    state = graph._derived.get(family.key)
     if state is not None:
-        verdict = None
-        if state[0] == version:
-            # an order exists for this exact version: proven acyclic
-            verdict = True
-        else:
-            deltas = graph.deltas_since(state[0])
-            if deltas is None:
-                # a lineage cut (set_rf, from_parts) strands the state
-                if reg is not None:
-                    reg.inc("acyclic:fallback")
-            elif family.forward:
-                if _FLAGS.differential:
-                    _check_forward(graph, family, deltas)
-                graph._aux[key] = (version,)
-                verdict = True
-            else:
-                added: list[tuple] = []
-                for delta in deltas:
-                    for component in family.components:
-                        added.extend(component.delta_pairs(graph, delta))
-                if not added:
-                    # nothing relevant inserted: re-tag the state
-                    graph._aux[key] = (
-                        version, state[1], state[2], state[3], state[4]
-                    )
-                    verdict = True
-                else:
-                    pending = state[4] + tuple(added)
-                    adjacency = _Adjacency(state[3], pending)
-                    outcome, new_order, new_top = _place_and_verify(
-                        state[1], state[2], added, adjacency
-                    )
-                    if outcome is None:
-                        # Ordinal float precision exhausted (deep
-                        # lineages subdivide the same interval over
-                        # and over): renumber with integer spacing
-                        # and retry before surrendering to a rebuild.
-                        spread = {
-                            node: float(position)
-                            for position, node in enumerate(
-                                sorted(state[1], key=state[1].__getitem__)
-                            )
-                        }
-                        outcome, new_order, new_top = _place_and_verify(
-                            spread, float(len(spread)), added, adjacency
-                        )
-                    if outcome is True:
-                        if adjacency.rel is not None:
-                            # a repair walk materialised the extended
-                            # union: store it with an empty pending tail
-                            graph._aux[key] = (
-                                version, new_order, new_top, adjacency.rel, ()
-                            )
-                        elif len(pending) > 128:
-                            # keep the pending tail bounded so walks (and
-                            # lineage memory) stay O(recent deltas)
-                            graph._aux[key] = (
-                                version, new_order, new_top,
-                                state[3].extended(pending), (),
-                            )
-                        else:
-                            graph._aux[key] = (
-                                version, new_order, new_top, state[3], pending
-                            )
-                        verdict = True
-                    elif outcome is False:
-                        # The repair walk found a path back to an inserted
-                        # edge's source: the new edges close a cycle in the
-                        # exact union, so the full DFS would reject too —
-                        # no need to run it.
-                        if reg is not None:
-                            reg.inc("acyclic:incremental_hit")
-                        if _FLAGS.differential and family.build(graph).is_acyclic():
-                            raise IncrementalMismatch(
-                                f"incremental acyclicity of {family.name!r} "
-                                "found a cycle; full DFS says acyclic"
-                            )
-                        return False
-                    elif reg is not None:
-                        reg.inc("acyclic:fallback")
-        if verdict:
+        deltas = graph.deltas_since(state[0])
+        # a lineage cut (an rf redirect) strands the stored order
+        outcome = (
+            None if deltas is None else _absorb(graph, family, state, deltas)
+        )
+        reg = _PROFILE.registry
+        if outcome is None:
             if reg is not None:
-                reg.inc("acyclic:incremental_hit")
-            if _FLAGS.differential and not family.build(graph).is_acyclic():
+                reg.inc(_ACYCLIC[1])
+        else:
+            if reg is not None:
+                reg.inc(_ACYCLIC[0])
+            if (
+                _FLAGS.differential
+                and family.build(graph).is_acyclic() != outcome
+            ):
                 raise IncrementalMismatch(
                     f"incremental acyclicity of {family.name!r} said "
-                    "acyclic; full DFS found a cycle"
+                    f"{outcome}; the full DFS disagrees"
                 )
-            return True
+            return outcome
     rel = family.build(graph)
-    if family.forward:
-        if not rel.is_acyclic():
-            return False
-        graph._aux[key] = (version,)
-        return True
     # DFS roots in stamp (addition) order: ties in the resulting order
     # lean towards the order events entered the graph, which is the
     # order future edges overwhelmingly point in — so child copies'
     # inserted edges usually respect the stored order and the
-    # incremental path above keeps absorbing them without repair work.
+    # incremental path keeps absorbing them without repair work.
     stamp = graph._stamp
     universe = sorted(rel.nodes(), key=lambda node: stamp.get(node, -1))
     ordered = rel.topological_order(universe)
@@ -315,17 +310,69 @@ def acyclic_check(graph: ExecutionGraph, family: AcyclicFamily) -> bool:
     order = {
         node: float(position) for position, node in enumerate(ordered)
     }
-    graph._aux[key] = (version, order, float(len(order)), rel, ())
+    graph._derived[family.key] = (
+        graph._version, order, float(len(order)), rel, ()
+    )
     return True
 
 
-def _check_forward(
-    graph: ExecutionGraph, family: AcyclicFamily, deltas: list
-) -> None:
-    """Differential-mode assertion behind a forward certification:
-    every pair the components emit for ``deltas`` ends at the delta's
-    event or an event added after it, and starts at an event added
-    before its end (events older than ``deltas`` come first)."""
+def _family_acyclic(graph: ExecutionGraph, family: AcyclicFamily) -> bool:
+    return family.build(graph).is_acyclic()
+
+
+def _absorb(
+    graph: ExecutionGraph, family: AcyclicFamily, state: tuple, deltas: list
+) -> bool | None:
+    """Bring an ordinal family's stored order through ``deltas``.
+
+    ``state`` is ``(version, order, top, union, pending)``: the
+    topological order as float ordinals, the highest ordinal, the
+    union as last materialised and the pairs inserted since.  Returns
+    True (and stores the grown state) when the order absorbs the
+    inserted edges, False when the repair walk proves they close a
+    cycle, and None when the ordinals run out of float precision."""
+    added: list[tuple] = []
+    for delta in deltas:
+        for component in family.components:
+            added.extend(component.delta_pairs(graph, delta))
+    version = graph._version
+    key = family.key
+    if not added:
+        # nothing relevant inserted: re-tag the state
+        graph._derived[key] = (version, state[1], state[2], state[3], state[4])
+        return True
+    pending = state[4] + tuple(added)
+    adjacency = _Adjacency(state[3], pending)
+    outcome, order, top = _place_and_verify(
+        state[1], state[2], added, adjacency
+    )
+    if outcome is not True:
+        return outcome
+    if adjacency.rel is not None:
+        # a repair walk materialised the extended union: store it with
+        # an empty pending tail
+        graph._derived[key] = (version, order, top, adjacency.rel, ())
+    elif len(pending) > 128:
+        # keep the pending tail bounded so walks (and lineage memory)
+        # stay O(recent deltas)
+        graph._derived[key] = (
+            version, order, top, state[3].extended(pending), ()
+        )
+    else:
+        graph._derived[key] = (version, order, top, state[3], pending)
+    return True
+
+
+def _forward_deltas(
+    graph: ExecutionGraph, deltas: list, family: AcyclicFamily
+) -> bool:
+    """A forward family's deltas cannot close a cycle.  Differential
+    mode asserts what that rests on: every pair the components emit
+    for ``deltas`` ends at the delta's event or an event added after
+    it, and starts at an event added before its end (events older than
+    ``deltas`` come first)."""
+    if not _FLAGS.differential:
+        return True
     added: dict = {}
     for position, delta in enumerate(deltas):
         if delta[0] != "co":
@@ -341,6 +388,7 @@ def _check_forward(
                         f"{component.__name__!r} emitted ({a!r}, {b!r}) "
                         f"for delta {delta!r}"
                     )
+    return True
 
 
 class _Adjacency:
@@ -509,58 +557,47 @@ def _shift_after(
     return True, top
 
 
+_COHERENT = ("coherent:incremental_hit", "coherent:fallback")
+
+
 def coherent_check(graph: ExecutionGraph, name: str, hb_preds: dict) -> bool:
     """Is ``hb ; eco`` irreflexive on ``graph`` (the COH obligation)?
     ``hb_preds`` maps every event to the set of its hb-predecessors.
 
-    Verdicts are identical to scanning every event, but on a live
-    delta log only the *fresh* events need checking: every event
-    appended since the last verdict has no outgoing ``po``/``sw`` edge
-    to an older event, so every new ``hb`` pair ends at a fresh event,
-    and every new ``eco`` pair touches the delta event.  A violation
+    Verdicts are identical to scanning every event, but the
+    verified-version rule (under ``"coh:" + name``) checks only the
+    *fresh* events on a live delta log: every event appended since the
+    last verdict has no outgoing ``po``/``sw`` edge to an older event,
+    so every new ``hb`` pair ends at a fresh event, and every new
+    ``eco`` pair touches the delta event.  A violation
     ``a ->hb b ->eco a`` therefore involves a fresh ``b`` — caught by
     asking whether ``b``'s hb-predecessors meet its ``eco``
     successors.  The walk reads those successors off the rf map and
     the coherence orders (:func:`_eco_successors`), so this path never
     materialises ``eco``.  ``co`` reorderings ride along: the inserted
     write appears as its own ``event`` delta in the same range.
-
-    Passing graphs store the verified version (as a 1-tuple — the
-    ``_aux`` protocol keys delta-log trimming off ``entry[0]``) under
-    ``"coh:" + name`` in ``graph._aux``; failing graphs store nothing
-    (they are discarded).
     """
-    key = "coh:" + name
-    version = graph._version
-    state = graph._aux.get(key) if _FLAGS.enabled else None
-    deltas = graph.deltas_since(state[0]) if state is not None else None
-    if deltas is not None:
-        verdict = True
-        for delta in deltas:
-            if delta[0] == "co":
-                continue  # its write is an "event" delta too
-            ev = delta[1]
-            successors = _eco_successors(graph, ev)
-            if _FLAGS.differential:
-                check_equal(
-                    "eco successors", successors, _eco(graph).successors(ev)
-                )
-            if not hb_preds[ev].isdisjoint(successors):
-                verdict = False
-                break
-        reg = _PROFILE.registry
-        if reg is not None:
-            reg.inc("coherent:incremental_hit")
-        if _FLAGS.differential and _coherent_scan(graph, hb_preds) != verdict:
-            raise IncrementalMismatch(
-                f"incremental COH of {name!r} said {verdict}; "
-                "full scan disagrees"
+    return verified(
+        graph, "coh:" + name, _COHERENT, _coherent_deltas, _coherent_scan,
+        hb_preds,
+    )
+
+
+def _coherent_deltas(
+    graph: ExecutionGraph, deltas: list, hb_preds: dict
+) -> bool:
+    for delta in deltas:
+        if delta[0] == "co":
+            continue  # its write is an "event" delta too
+        ev = delta[1]
+        successors = _eco_successors(graph, ev)
+        if _FLAGS.differential:
+            check_equal(
+                "eco successors", successors, _eco(graph).successors(ev)
             )
-    else:
-        verdict = _coherent_scan(graph, hb_preds)
-    if verdict:
-        graph._aux[key] = (version,)
-    return verdict
+        if not hb_preds[ev].isdisjoint(successors):
+            return False
+    return True
 
 
 def _coherent_scan(graph: ExecutionGraph, hb_preds: dict) -> bool:

@@ -84,10 +84,6 @@ class ThreadReplay:
     error: str | None = None
     registers: dict[str, Value] = field(default_factory=dict)
 
-    @property
-    def event_count(self) -> int:
-        return len(self.labels)
-
 
 _EMIT = Generator[Label, Value | None, None]
 

@@ -28,7 +28,7 @@ import abc
 
 from ..events import Event
 from ..graphs import ExecutionGraph, porf_preds
-from ..obs import NULL_OBSERVER
+from ..obs.profile import _STATE as _PROFILE
 from .common import atomicity_ok, sc_per_location
 
 
@@ -39,43 +39,36 @@ class MemoryModel(abc.ABC):
     name: str = "abstract"
     #: does the model forbid (po ∪ rf) cycles?
     porf_acyclic: bool = True
-    #: the active observer (models are registry singletons, so the
-    #: explorer attaches this for the duration of one run and detaches
-    #: it afterwards — see Explorer.run)
-    _observer = NULL_OBSERVER
-
-    # -- observability -------------------------------------------------------
-
-    def set_observer(self, observer) -> None:
-        """Attach (or, with :data:`NULL_OBSERVER`, detach) the observer
-        that times this model's consistency checks per axiom."""
-        self._observer = observer
 
     # -- consistency ---------------------------------------------------------
+    #
+    # Checks are timed per axiom into the registry of the observed run
+    # (the one :class:`repro.obs.profile.activation` installs), so the
+    # registry singletons that models are need no per-run state.
 
     def coherence_ok(self, graph: ExecutionGraph) -> bool:
         """SC-per-location plus RMW atomicity — common to every model."""
-        obs = self._observer
-        if not obs.enabled:
+        reg = _PROFILE.registry
+        if reg is None:
             return sc_per_location(graph) and atomicity_ok(graph)
-        with obs.phase("check:coherence"):
+        with reg.phase("check:coherence"):
             ok = sc_per_location(graph) and atomicity_ok(graph)
         if not ok:
             # failure counters; totals come from the phase's `calls`
-            obs.inc("check:coherence:fail")
+            reg.inc("check:coherence:fail")
         return ok
 
     def is_consistent(self, graph: ExecutionGraph) -> bool:
         """Full consistency: coherence, atomicity and the model axiom."""
-        obs = self._observer
-        if not obs.enabled:
+        reg = _PROFILE.registry
+        if reg is None:
             return self.coherence_ok(graph) and self.axiom_holds(graph)
         if not self.coherence_ok(graph):  # timed in coherence_ok
             return False
-        with obs.phase(f"check:axiom:{self.name}"):
+        with reg.phase(f"check:axiom:{self.name}"):
             ok = self.axiom_holds(graph)
         if not ok:
-            obs.inc(f"check:axiom:{self.name}:fail")
+            reg.inc(f"check:axiom:{self.name}:fail")
         return ok
 
     @abc.abstractmethod

@@ -10,7 +10,7 @@ from __future__ import annotations
 from ..events import Event, FenceKind, FenceLabel, MemOrder, ReadLabel, WriteLabel
 from ..graphs import ExecutionGraph
 from ..graphs.derived import eco, graph_cached, po, rf
-from ..graphs.incremental import _FLAGS, AcyclicFamily, check_equal
+from ..graphs.incremental import AcyclicFamily
 from ..relations import Relation, bracket, optional, seq, union
 
 #: the C11 strength of each hardware fence, following the standard
@@ -259,30 +259,36 @@ HB_FAMILY = AcyclicFamily(
 
 def sc_events(graph: ExecutionGraph, accesses: bool = True) -> list[Event]:
     """Events participating in the SC axiom: SC-ordered accesses (when
-    ``accesses``) and fences whose C11 strength is seq_cst.
-
-    The list, in event order, is kept per lineage in ``graph._aux`` and
-    extended from the delta log, so a child copy scans only the events
-    added since its ancestor's entry."""
-    if not _FLAGS.enabled:
-        return _sc_scan(graph, graph.events(), accesses)
-    key = "sc:events" if accesses else "sc:fences"
-    version = graph._version
-    entry = graph._aux.get(key)
-    if entry is not None and entry[0] == version:
-        return list(entry[1])
-    deltas = graph.deltas_since(entry[0]) if entry is not None else None
-    if deltas is None:
-        found = tuple(_sc_scan(graph, graph.events(), accesses))
-    else:
-        fresh = (delta[1] for delta in deltas if delta[0] != "co")
-        found = entry[1] + tuple(_sc_scan(graph, fresh, accesses))
-        if _FLAGS.differential:
-            check_equal(
-                key, list(found), _sc_scan(graph, graph.events(), accesses)
-            )
-    graph._aux[key] = (version, found)
+    ``accesses``) and fences whose C11 strength is seq_cst, in event
+    order."""
+    found = sc_accesses_and_fences(graph) if accesses else sc_fences(graph)
     return list(found)
+
+
+@graph_cached
+def sc_accesses_and_fences(graph: ExecutionGraph) -> tuple:
+    """SC-ordered accesses and seq_cst fences, in event order."""
+    return tuple(_sc_scan(graph, graph.events(), True))
+
+
+@sc_accesses_and_fences.register_incremental
+def _sc_accesses_and_fences_incremental(graph, old, deltas):
+    return old + tuple(_sc_scan(graph, _added_events(deltas), True))
+
+
+@graph_cached
+def sc_fences(graph: ExecutionGraph) -> tuple:
+    """Fences whose C11 strength is seq_cst, in event order."""
+    return tuple(_sc_scan(graph, graph.events(), False))
+
+
+@sc_fences.register_incremental
+def _sc_fences_incremental(graph, old, deltas):
+    return old + tuple(_sc_scan(graph, _added_events(deltas), False))
+
+
+def _added_events(deltas) -> list[Event]:
+    return [delta[1] for delta in deltas if delta[0] != "co"]
 
 
 def _sc_scan(graph: ExecutionGraph, events, accesses: bool) -> list[Event]:

@@ -20,9 +20,10 @@ from ..graphs.derived import (
     rmw_pairs,
     same_thread,
 )
-from ..graphs.incremental import _FLAGS, IncrementalMismatch
-from ..obs.profile import _STATE as _PROFILE
+from ..graphs.incremental import verified
 from ..relations import Relation, union
+
+_COHERENCE = ("coherence:incremental_hit", "coherence:fallback")
 
 
 def coherence_relation(graph: ExecutionGraph) -> Relation:
@@ -52,16 +53,17 @@ def sc_per_location(graph: ExecutionGraph) -> bool:
     thread's previous access to the same location can newly decrease:
     events are appended at the end of their thread, a co insertion
     keeps the existing writes' relative order (so every older
-    comparison keeps its sign), and rf never changes.
+    comparison keeps its sign), and rf never changes.  The
+    verified-version rule (:func:`~repro.graphs.incremental.verified`)
+    applies it.
     """
-    if not _FLAGS.enabled:
-        return _coherence_acyclic(graph)
-    return _verified(
-        graph, "coh-keys", _keys_rise_at, _keys_rise, _coherence_acyclic
+    return verified(
+        graph, "coh-keys", _COHERENCE, _keys_rise_since, _keys_rise,
+        oracle=_coherence_acyclic,
     )
 
 
-def _coherence_acyclic(graph: ExecutionGraph) -> bool:
+def _coherence_acyclic(graph: ExecutionGraph, _=None) -> bool:
     return coherence_relation(graph).is_acyclic()
 
 
@@ -73,43 +75,10 @@ def atomicity_ok(graph: ExecutionGraph) -> bool:
     inserted write is an RMW's write and lands apart from its read's
     source, or it lands right before an RMW's write, between that
     RMW's source and its write.  Each ``co`` delta checks those two
-    writes."""
-    if not _FLAGS.enabled:
-        return _atomicity_scan(graph)
-    return _verified(
-        graph, "atomicity", _atomic_at, _atomicity_scan, _atomicity_scan
+    writes, under the verified-version rule."""
+    return verified(
+        graph, "atomicity", _COHERENCE, _atomic_since, _atomicity_scan
     )
-
-
-def _verified(graph, key, on_delta, scan, oracle) -> bool:
-    """Run a check that only its deltas can break: passing graphs store
-    the verified version (a 1-tuple, as the forward acyclicity families
-    do) under ``key`` in ``graph._aux``, and a descendant with a live
-    delta log applies ``on_delta`` to each delta since then.  A graph
-    with no state or a cut lineage runs ``scan``.  Failing graphs
-    store nothing.  Differential mode compares every verdict with
-    ``oracle``."""
-    version = graph._version
-    state = graph._aux.get(key)
-    deltas = graph.deltas_since(state[0]) if state is not None else None
-    if deltas is None:
-        ok = scan(graph)
-    else:
-        ok = True
-        for delta in deltas:
-            if not on_delta(graph, delta):
-                ok = False
-                break
-        reg = _PROFILE.registry
-        if reg is not None:
-            reg.inc("coherence:incremental_hit")
-    if _FLAGS.differential and ok != oracle(graph):
-        raise IncrementalMismatch(
-            f"{key!r} check said {ok}; the from-scratch check disagrees"
-        )
-    if ok:
-        graph._aux[key] = (version,)
-    return ok
 
 
 def _coherence_key(graph: ExecutionGraph, ev: Event, lab) -> int:
@@ -119,7 +88,7 @@ def _coherence_key(graph: ExecutionGraph, ev: Event, lab) -> int:
     return 2 * order.index(graph._rf[ev]) + 1
 
 
-def _keys_rise(graph: ExecutionGraph) -> bool:
+def _keys_rise(graph: ExecutionGraph, _=None) -> bool:
     """The key rule over the whole graph: one pass over the threads
     with a per-location position map.  An access with no position (a
     read without an rf source, or a write or rf source missing from
@@ -148,29 +117,32 @@ def _keys_rise(graph: ExecutionGraph) -> bool:
     return True
 
 
-def _keys_rise_at(graph: ExecutionGraph, delta) -> bool:
-    """The key rule for one appended event: its key is no lower than
-    that of its thread's previous access to the same location."""
-    if delta[0] != "event":
-        return True
-    ev = delta[1]
+def _keys_rise_since(graph: ExecutionGraph, deltas: list, _=None) -> bool:
+    """The key rule for the appended events: each one's key is no lower
+    than that of its thread's previous access to the same location."""
     labels = graph._labels
-    lab = labels[ev]
-    if not isinstance(lab, (ReadLabel, WriteLabel)):
-        return True
-    loc = lab.loc
-    thread = graph._threads[ev.tid]
-    for index in range(ev.index - 1, -1, -1):
-        prev = thread[index]
-        plab = labels[prev]
-        if isinstance(plab, (ReadLabel, WriteLabel)) and plab.loc == loc:
-            return _coherence_key(graph, prev, plab) <= _coherence_key(
-                graph, ev, lab
-            )
+    for delta in deltas:
+        if delta[0] != "event":
+            continue
+        ev = delta[1]
+        lab = labels[ev]
+        if not isinstance(lab, (ReadLabel, WriteLabel)):
+            continue
+        loc = lab.loc
+        thread = graph._threads[ev.tid]
+        for index in range(ev.index - 1, -1, -1):
+            prev = thread[index]
+            plab = labels[prev]
+            if isinstance(plab, (ReadLabel, WriteLabel)) and plab.loc == loc:
+                if _coherence_key(graph, prev, plab) > _coherence_key(
+                    graph, ev, lab
+                ):
+                    return False
+                break
     return True
 
 
-def _atomicity_scan(graph: ExecutionGraph) -> bool:
+def _atomicity_scan(graph: ExecutionGraph, _=None) -> bool:
     for read, write in rmw_pairs(graph).pairs():
         src = graph.rf(read)
         order = graph.co_order(graph.label(write).location)  # type: ignore[arg-type]
@@ -187,21 +159,24 @@ def _atomicity_scan(graph: ExecutionGraph) -> bool:
     return True
 
 
-def _atomic_at(graph: ExecutionGraph, delta) -> bool:
-    """Atomicity after one coherence insertion: the inserted write and
-    the write now co-after it each sit right after their read's source
+def _atomic_since(graph: ExecutionGraph, deltas: list, _=None) -> bool:
+    """Atomicity after the coherence insertions: each inserted write
+    and the write now co-after it sit right after their read's source
     if they are RMW writes.  That covers several insertions since the
     verified version too: an older RMW was atomic there and older
     writes keep their relative order, so if anything now separates it
     from its source, the write right before it is an inserted one."""
-    if delta[0] != "co":
-        return True
-    ev = delta[1]
-    order = graph._co[graph._labels[ev].loc]
-    pos = order.index(ev)
-    if not _rmw_adjacent(graph, order, pos):
-        return False
-    return pos + 1 == len(order) or _rmw_adjacent(graph, order, pos + 1)
+    for delta in deltas:
+        if delta[0] != "co":
+            continue
+        ev = delta[1]
+        order = graph._co[graph._labels[ev].loc]
+        pos = order.index(ev)
+        if not _rmw_adjacent(graph, order, pos):
+            return False
+        if pos + 1 < len(order) and not _rmw_adjacent(graph, order, pos + 1):
+            return False
+    return True
 
 
 def _rmw_adjacent(graph: ExecutionGraph, order: list, pos: int) -> bool:

@@ -78,10 +78,6 @@ def _exclusive_flush_delta(graph, delta):
     return out
 
 
-# back-compat alias (pso imports it; tests may too)
-_exclusive_flush = exclusive_flush
-
-
 @graph_cached
 def tso_ppo(graph: ExecutionGraph) -> Relation:
     """TSO preserved program order: po over accesses minus W -> R.

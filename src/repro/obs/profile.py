@@ -2,10 +2,11 @@
 and the ``.cat`` evaluator.
 
 The exploration core threads an observer everywhere, but the layers
-whose cost actually dominates a run — derived-relation computation
-(:mod:`repro.graphs.derived`) and ``.cat`` evaluation
-(:mod:`repro.cat.eval`) — sit behind module-level memo caches with no
-observer in their signatures.  Threading one through would put a new
+whose cost actually dominates a run — the models' consistency checks
+(:mod:`repro.models.base`, whose models are registry singletons),
+derived-relation computation (:mod:`repro.graphs.derived`) and
+``.cat`` evaluation (:mod:`repro.cat.eval`) — have no observer in
+their signatures.  Threading one through would put a new
 argument on every relation call; instead this module keeps **one
 process-global active registry** that those hot paths consult with a
 single attribute load::
@@ -36,15 +37,16 @@ histogram / phase namespaces of the registry):
   relation, whether from scratch or incrementally (nests inside
   whatever ``check:`` phase asked for it, so axiom self-time excludes
   relation-building time);
-* ``acyclic:incremental_hit`` / ``acyclic:fallback`` — an incremental
-  acyclicity check absorbed the inserted edges into its stored
-  topological order (or proved they close a cycle), or gave up and
-  re-ran the full DFS (counters);
-* ``coherent:incremental_hit`` — a COH check verified only the events
-  appended since its last verdict (counter);
-* ``coherence:incremental_hit`` — an SC-per-location or RMW atomicity
-  check verified only the deltas since its last passing verdict
-  (counter; see :mod:`repro.models.common`);
+* ``acyclic:incremental_hit`` / ``acyclic:fallback`` — an acyclicity
+  check answered from its stored state, or a lineage cut (or an
+  ordinal family's exhausted float precision) sent it to the full DFS
+  (counters);
+* ``coherent:incremental_hit`` / ``coherent:fallback`` — a COH check
+  verified only the events appended since its last verdict, or a
+  lineage cut sent it to the full scan (counters);
+* ``coherence:incremental_hit`` / ``coherence:fallback`` — the same
+  for an SC-per-location or RMW atomicity check (counters; see
+  :mod:`repro.models.common`);
 * ``cat:memo_hit:<binding>`` / ``cat:memo_miss:<binding>`` — per-name
   memo behaviour of one ``.cat`` evaluation environment (counters);
 * ``cat:fixpoint_iters:<names>`` — rounds a ``let rec`` group took to

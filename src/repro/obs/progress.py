@@ -16,12 +16,41 @@ over the environment.
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 import time
 
 #: environment variable holding the default heartbeat cadence
 PROGRESS_ENV = "REPRO_PROGRESS_EVERY"
+
+
+def check_cadence(
+    every_graphs: int | None, every_seconds: float | None
+) -> tuple[int | None, float | None]:
+    """The one rule for both heartbeat cadences: ``every_graphs`` is
+    None or an integer > 0, ``every_seconds`` None or a finite number
+    of seconds > 0.  Returns them; anything else is a
+    :class:`ValueError` naming the cadence.
+
+    ``<= 0`` alone is not enough for seconds: NaN compares False with
+    every number, so it would pass and never fire a periodic beat.
+    """
+    if every_graphs is not None and (
+        type(every_graphs) is not int or every_graphs <= 0
+    ):
+        raise ValueError(
+            "heartbeat graph count must be an integer > 0, "
+            f"got {every_graphs!r}"
+        )
+    if every_seconds is not None and not (
+        math.isfinite(every_seconds) and every_seconds > 0
+    ):
+        raise ValueError(
+            "heartbeat seconds must be a finite number > 0, "
+            f"got {every_seconds!r}"
+        )
+    return every_graphs, every_seconds
 
 
 def parse_progress_spec(spec: str) -> tuple[int | None, float | None]:
@@ -46,16 +75,16 @@ def parse_progress_spec(spec: str) -> tuple[int | None, float | None]:
                 "(graphs) or a number suffixed 's' (seconds), "
                 "e.g. '500', '2s' or '1000,5s'"
             ) from None
-    if every_graphs is not None and every_graphs <= 0:
-        raise ValueError(f"{PROGRESS_ENV} graph count must be positive")
-    if every_seconds is not None and every_seconds <= 0:
-        raise ValueError(f"{PROGRESS_ENV} seconds must be positive")
-    return every_graphs, every_seconds
+    try:
+        return check_cadence(every_graphs, every_seconds)
+    except ValueError as exc:
+        raise ValueError(f"bad {PROGRESS_ENV}: {exc}") from None
 
 
 class ProgressReporter:
     """Emit heartbeat lines every ``every_graphs`` ticks or
-    ``every_seconds`` seconds (either may be None)."""
+    ``every_seconds`` seconds (either may be None; both follow
+    :func:`check_cadence`)."""
 
     def __init__(
         self,
@@ -71,6 +100,7 @@ class ProgressReporter:
                 every_graphs, every_seconds = parse_progress_spec(env)
         if every_graphs is None and every_seconds is None:
             every_seconds = 2.0
+        check_cadence(every_graphs, every_seconds)
         self.every_graphs = every_graphs
         self.every_seconds = every_seconds
         self.stream = stream if stream is not None else sys.stderr

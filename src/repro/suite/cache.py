@@ -4,10 +4,10 @@ A suite task's verdict is a pure function of the program, the memory
 model, the result-relevant exploration options and the checker's code
 version — so its result can be cached under the hash of exactly those
 inputs and served on any later run with identical content.  Scheduling
-knobs (``jobs``, ``oversubscription``, ``task_timeout``,
-``task_retries``) and collection toggles never change what a
-deterministic exploration *finds*, so they are excluded from the key:
-serial and parallel runs of the same task share one cache entry.
+knobs (``jobs``, ``task_timeout``, ``task_retries``) and collection
+toggles never change what a deterministic exploration *finds*, so
+they are excluded from the key: serial and parallel runs of the same
+task share one cache entry.
 
 Entries are flat JSON files (``<key>.json``) holding the
 :func:`repro.core.report.to_dict` rendering of the result plus the
@@ -52,7 +52,6 @@ DEFAULT_CACHE_DIR = os.path.join(".repro", "suite-cache")
 SCHEDULING_FIELDS = frozenset(
     {
         "jobs",
-        "oversubscription",
         "task_timeout",
         "task_retries",
         "collect_keys",

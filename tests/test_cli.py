@@ -79,6 +79,21 @@ class TestTaskTimeoutFlag:
                 assert "--task-timeout" in capsys.readouterr().err
 
 
+class TestProgressFlag:
+    def test_checks_the_period_at_parse_time(self, capsys):
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        assert parser.parse_args(["verify", "SB", "--progress"]).progress == 2.0
+        args = parser.parse_args(["verify", "SB", "--progress", "0.5"])
+        assert args.progress == 0.5
+        for bad in ("-1", "0", "nan", "inf", "soon"):
+            with pytest.raises(SystemExit) as info:
+                parser.parse_args(["verify", "SB", "--progress", bad])
+            assert info.value.code == 2
+            assert "--progress" in capsys.readouterr().err
+
+
 class TestExperiment:
     def test_unknown_experiment(self):
         assert main(["experiment", "zz"]) == 2

@@ -4,7 +4,6 @@ from repro.events import Event, FenceKind, FenceLabel, ReadLabel, WriteLabel
 from repro.graphs import ExecutionGraph
 from repro.graphs.derived import (
     co,
-    co_imm,
     dependency,
     eco,
     external,
@@ -12,7 +11,6 @@ from repro.graphs.derived import (
     fr,
     internal,
     po,
-    po_imm,
     po_loc,
     reads,
     rf,
@@ -42,14 +40,6 @@ class TestProgramOrder:
     def test_po_excludes_cross_thread(self):
         g = mp_graph()
         assert not any(x.tid != y.tid for x, y in po(g).pairs())
-
-    def test_po_imm_only_adjacent(self):
-        g = ExecutionGraph(["x"])
-        for v in (1, 2, 3):
-            g.add_write(0, WriteLabel(loc="x", value=v))
-        a, b, c = g.thread_events(0)
-        rel = po_imm(g)
-        assert (a, b) in rel and (b, c) in rel and (a, c) not in rel
 
     def test_po_loc_same_location_only(self):
         g = ExecutionGraph(["x", "y"])
@@ -83,7 +73,6 @@ class TestCommunication:
         g.add_write(0, WriteLabel(loc="x", value=1))
         g.add_write(1, WriteLabel(loc="x", value=2))
         assert co(g).is_total_on(g.writes("x"))
-        assert len(co_imm(g)) == 2  # init->w1, w1->w2
 
     def test_fr_from_init_read(self):
         g = mp_graph()

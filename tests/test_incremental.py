@@ -8,6 +8,8 @@ models).  Also pins the satellite bugfixes: ``atomicity_ok`` on
 ``copy()``.
 """
 
+import math
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -32,13 +34,16 @@ from repro.graphs.incremental import (
     _eco_successors,
     acyclic_check,
     check_equal,
+    coherent_check,
     configure_from_env,
     set_differential,
     set_incremental,
 )
 from repro.models import all_models, get_model
+from repro.models.c11 import hb_pred
 from repro.models.common import atomicity_ok, sc_per_location
 from repro.obs import Observer
+from repro.obs.profile import activation
 from repro.relations import Relation, union
 from repro.util.randprog import RandomProgramGenerator
 
@@ -250,7 +255,7 @@ class TestAcyclicCheck:
         with activation(obs):
             assert acyclic_check(child, family)
         assert obs.metrics.counters.get("acyclic:incremental_hit", 0) == 1
-        state = child._aux["acyc:" + family.name]
+        state = child._derived["acyc:" + family.name]
         assert state[0] == child._version
         return child, state
 
@@ -291,11 +296,43 @@ class TestAcyclicCheck:
             assert acyclic_check(g, family)
         assert obs.metrics.counters.get("acyclic:fallback", 0) == 1
 
+    def test_exhausted_ordinals_fall_back_to_the_full_dfs(self):
+        # x: init -> w1 -> w2 in co, and w1 po-before wy (a write to y).
+        # The stored order packs w1, w2 and wy onto three adjacent
+        # floats, so no ordinal lies strictly between any two of them.
+        g = ExecutionGraph(["x", "y"])
+        w1 = g.add_write(0, WriteLabel(loc="x", value=1))
+        wy = g.add_write(0, WriteLabel(loc="y", value=1))
+        w2 = g.add_write(1, WriteLabel(loc="x", value=2))
+        assert acyclic_check(g, PORF_CO)
+        state = g._derived[PORF_CO.key]
+        order = {g.init_write("x"): 0.0, g.init_write("y"): 0.5, w1: 1.0}
+        order[w2] = math.nextafter(1.0, 2.0)
+        order[wy] = math.nextafter(order[w2], 2.0)
+        for a, b in PORF_CO.build(g).pairs():
+            assert order[a] < order[b]
+        g._derived[PORF_CO.key] = (state[0], order, order[wy], *state[3:])
+        # a write between w1 and w2 in co must sit between their
+        # ordinals, and moving either neighbour needs the same room
+        child = g.copy()
+        child.add_write(2, WriteLabel(loc="x", value=3), co_index=2)
+        obs = Observer()
+        with activation(obs):
+            verdict = acyclic_check(child, PORF_CO)
+        assert verdict is PORF_CO.build(child).is_acyclic() is True
+        counters = obs.metrics.counters
+        assert counters.get("acyclic:fallback", 0) == 1
+        assert counters.get("acyclic:incremental_hit", 0) == 0
+        # the full DFS stored a fresh order with integer ordinals
+        rebuilt = child._derived[PORF_CO.key]
+        assert rebuilt[0] == child._version
+        assert all(value == int(value) for value in rebuilt[1].values())
+
     def test_disabled_mode_bypasses_state(self):
         set_incremental(False)
         g = mp_graph()
         assert acyclic_check(g, COHERENCEISH)
-        assert not any(k.startswith("acyc:") for k in g._aux)
+        assert not any(k.startswith("acyc:") for k in g._derived)
 
     def test_family_requires_delta_components(self):
         def plain(graph):
@@ -327,6 +364,43 @@ class TestCoherentCheck:
             eco_rel = eco.__wrapped__(graph)
             for ev in graph.events():
                 assert _eco_successors(graph, ev) == eco_rel.successors(ev)
+
+
+# -- the verified-version rule -----------------------------------------------
+
+
+#: the checks besides acyclicity (TestAcyclicCheck covers its two
+#: paths) that go through the verified-version rule, with the counter
+#: prefix each reports under
+RULE_CHECKS = {
+    "coh": (lambda g: coherent_check(g, "test", hb_pred(g)), "coherent"),
+    "coherence-keys": (sc_per_location, "coherence"),
+    "atomicity": (atomicity_ok, "coherence"),
+}
+
+
+class TestVerifiedVersionRule:
+    @pytest.mark.parametrize("name", sorted(RULE_CHECKS))
+    def test_lineage_cut_counts_one_fallback(self, name):
+        check, counter = RULE_CHECKS[name]
+        g = mp_graph()
+        assert check(g)
+        child = g.copy()
+        child.add_write(0, WriteLabel(loc="d", value=3))
+        obs = Observer()
+        with activation(obs):
+            assert check(child)
+        counters = obs.metrics.counters
+        assert counters.get(f"{counter}:incremental_hit", 0) == 1
+        assert counters.get(f"{counter}:fallback", 0) == 0
+        # the set_rf cut leaves the stored version unreachable by replay
+        child.set_rf(child.thread_events(1)[1], child.thread_events(0)[0])
+        obs = Observer()
+        with activation(obs):
+            assert check(child) == check(child.restricted(child.events()))
+        counters = obs.metrics.counters
+        assert counters.get(f"{counter}:fallback", 0) == 1
+        assert counters.get(f"{counter}:incremental_hit", 0) == 0
 
 
 # -- coherence keys and atomicity per insertion -------------------------------

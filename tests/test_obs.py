@@ -246,11 +246,11 @@ class TestNullBackend:
         assert result.phase_times  # timing still collected
 
     def test_model_observer_detached_after_run(self):
-        from repro.models import get_model
+        from repro.obs import profile
 
         obs = Observer()
         verify(sb_program(), "tso", observer=obs)
-        assert get_model("tso")._observer is NULL_OBSERVER
+        assert profile.active() is None
 
     def test_null_observer_is_shared_and_disabled(self):
         assert isinstance(NULL_OBSERVER, NullObserver)
@@ -305,6 +305,9 @@ class TestProgress:
             parse_progress_spec("abc")
         with pytest.raises(ValueError):
             parse_progress_spec("-3")
+        for bad in ("nans", "infs", "0s"):
+            with pytest.raises(ValueError, match=PROGRESS_ENV):
+                parse_progress_spec(bad)
         monkeypatch.setenv(PROGRESS_ENV, "2")
         stream = io.StringIO()
         rep = ProgressReporter(stream=stream)
@@ -315,6 +318,15 @@ class TestProgress:
         # explicit arguments win over the environment
         rep = ProgressReporter(every_graphs=7, stream=stream)
         assert rep.every_graphs == 7
+
+    def test_both_cadences_follow_one_rule(self):
+        # a negative period beat on every tick; NaN never beat at all
+        for bad in (-1.0, 0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="seconds"):
+                ProgressReporter(every_seconds=bad)
+        for bad in (-3, 0, 2.5, True):
+            with pytest.raises(ValueError, match="graph count"):
+                ProgressReporter(every_graphs=bad)
 
     def test_explorer_ticks_progress(self):
         stream = io.StringIO()
@@ -347,6 +359,19 @@ class TestOptionsValidation:
             ExplorationOptions(max_events=0)
         with pytest.raises(ValueError, match="max_events"):
             ExplorationOptions(max_events=-5)
+
+    def test_rejects_options_of_the_wrong_type(self):
+        # truthiness would read "false" as on, and a bool count is
+        # silently 0 or 1
+        for flag in ("stop_on_error", "deduplicate", "backward_revisits"):
+            for bad in ("false", 0, None):
+                with pytest.raises(TypeError, match=flag):
+                    ExplorationOptions(**{flag: bad})
+        for count in ("max_events", "max_executions", "jobs", "task_retries"):
+            for bad in (True, 2.0, "3"):
+                with pytest.raises(TypeError, match=count):
+                    ExplorationOptions(**{count: bad})
+        assert ExplorationOptions(max_executions=None, jobs=None).jobs is None
 
     def test_rejects_negative_limits(self):
         with pytest.raises(ValueError, match="max_executions"):
@@ -415,7 +440,7 @@ class TestCliSurface:
         assert main(["trace-summary", "/nonexistent/x.jsonl"]) == 2
 
     def test_verify_progress_flag(self, capsys):
-        assert main(["verify", "SB", "--model", "tso", "--progress", "0"]) == 0
+        assert main(["verify", "SB", "--model", "tso", "--progress", "0.001"]) == 0
 
 
 class TestBenchTelemetry:

@@ -17,7 +17,7 @@ from repro.core import (
     verify,
     verify_parallel,
 )
-from repro.bench.workloads import FAMILIES, fib_bench
+from repro.bench.workloads import FAMILIES, ainc, fib_bench
 from repro.core.result import ExecutionRecord, Stats
 from repro.lang import ProgramBuilder
 from repro.litmus import MODELS, all_litmus_tests
@@ -240,6 +240,23 @@ class TestParallelEquivalence:
         assert "jobs" not in no_dedup.meta  # stayed serial
         sharded = verify(sb(), "tso", jobs=2, stop_on_error=False)
         assert sharded.meta.get("jobs") == 2
+
+    def test_deduplicate_takes_a_bool_only(self, monkeypatch):
+        """``deduplicate=0`` means off to the explorer, but the shard
+        guard tested ``is not False`` and sharded it: the merge then
+        deduplicated, returning 24 executions where no-dedup runs
+        count 40."""
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        with pytest.raises(TypeError, match="deduplicate"):
+            verify(ainc(3), "imm", stop_on_error=False, deduplicate=0, jobs=2)
+        off = verify(
+            ainc(3), "imm", stop_on_error=False, deduplicate=False, jobs=2
+        )
+        assert "jobs" not in off.meta  # stayed serial
+        assert (off.executions, off.duplicates) == (40, 0)
+        on = verify(ainc(3), "imm", stop_on_error=False, jobs=2)
+        assert on.meta.get("jobs") == 2
+        assert on.executions == 24
 
     def test_jobs_equivalent_on_workload(self):
         program = sb_n(3)

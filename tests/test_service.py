@@ -614,6 +614,18 @@ class TestBackpressureAndErrors:
         assert response.status == 400
         assert "task_timeout" in body["error"]
 
+    def test_option_of_the_wrong_type_is_400(self, frozen):
+        # "false" is truthy, and max_events=true is a count of 1 that
+        # truncates every run with 0 executions
+        _svc, client = frozen
+        for options in ({"stop_on_error": "false"}, {"max_events": True}):
+            with pytest.raises(ServiceError) as info:
+                client.submit(
+                    {"kind": "litmus", "test": "SB", "options": options}
+                )
+            assert info.value.status == 400
+            assert next(iter(options)) in str(info.value)
+
     def test_draining_rejects_submissions_and_flips_readyz(self, frozen):
         svc, client = frozen
         svc.begin_drain()

@@ -81,7 +81,7 @@ class TestCache:
 
     def test_scheduling_option_change_hits(self, cache):
         a = litmus_task("SB", "tso")
-        b = litmus_task("SB", "tso", task_timeout=30.0, oversubscription=8)
+        b = litmus_task("SB", "tso", task_timeout=30.0, task_retries=5)
         run_suite([a], jobs=1, cache=cache)
         suite = run_suite([b], jobs=1, cache=cache)
         assert suite.cache_hits == 1
