@@ -1,7 +1,8 @@
 """P1 — serial vs parallel subtree sharding.
 
 The correctness half of the parallel engine's claim is asserted
-(identical execution counts); the timing half is recorded, not
+(identical execution, blocked and duplicate counts: the shard tasks
+share one revisit memo); the timing half is recorded, not
 asserted, because the speedup is hardware-dependent — on a single-CPU
 host the pool is pure overhead and the ratio is honestly < 1 (see
 docs/PARALLEL.md and EXPERIMENTS.md §P1).
@@ -31,5 +32,7 @@ def test_p1_serial_vs_parallel(benchmark, name, program, model, record_rows):
     serial, parallel = rows
     record_rows(f"P1 {name}", rows)
     assert parallel.executions == serial.executions
+    assert parallel.blocked == serial.blocked
+    assert parallel.extra["duplicates"] == serial.extra["duplicates"]
     assert parallel.errors == serial.errors
     assert "speedup" in parallel.extra

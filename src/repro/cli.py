@@ -259,7 +259,7 @@ def _cmd_bench(args) -> int:
     try:
         if jobs > 1 and args.backend in ("hmc", "hmc-parallel"):
             # serial-vs-parallel comparison rows, speedup included
-            rows = serial_vs_parallel(program, args.model, jobs)
+            rows = serial_vs_parallel(program, args.model, jobs, options)
             for row in rows:
                 print(row.format())
         else:

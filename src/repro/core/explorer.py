@@ -53,6 +53,7 @@ class Explorer:
         options: ExplorationOptions | None = None,
         observer=NULL_OBSERVER,
         root: ExecutionGraph | None = None,
+        claim=None,
     ) -> None:
         self.program = program
         self.model = get_model(model) if isinstance(model, str) else model
@@ -73,6 +74,10 @@ class Explorer:
         #: after every revisit the state space is finite, which is what
         #: makes revisit chains between RMWs terminate.
         self._revisit_seen: set = set()
+        #: a sharded run's one memo: ``claim(key)`` asks whether this
+        #: task explores a revisit state its own memo has not seen
+        #: (see repro.core.parallel); None when it explores them all
+        self._claim = claim
         self.result = VerificationResult(
             program=program.name, model=self.model.name
         )
@@ -144,7 +149,8 @@ class Explorer:
         """Extend ``graph`` by one event.
 
         Returns the successor graphs, or None when the graph is
-        complete or a dead end (both are accounted for here).
+        complete, a dead end, or continues only into revisit states
+        explored elsewhere (each is accounted for here).
         """
         replays: dict[int, ThreadReplay] = {}
         for tid in range(self.program.num_threads):
@@ -169,6 +175,8 @@ class Explorer:
             if next_label is None:
                 continue
             successors = self._add_event(graph, tid, next_label)
+            if successors is None:  # only dropped repeats: counted nowhere
+                return None
             if not successors:
                 self._record_blocked()
                 return None
@@ -189,7 +197,7 @@ class Explorer:
 
     def _add_event(
         self, graph: ExecutionGraph, tid: int, label: Label
-    ) -> list[ExecutionGraph]:
+    ) -> list[ExecutionGraph] | None:
         self.result.stats.events_added += 1
         if len(graph) >= self.options.max_events:
             raise _SearchLimit
@@ -243,7 +251,7 @@ class Explorer:
 
     def _add_write(
         self, graph: ExecutionGraph, tid: int, label: WriteLabel
-    ) -> list[ExecutionGraph]:
+    ) -> list[ExecutionGraph] | None:
         self.result.stats.writes_added += 1
         graph.ensure_location(label.loc)
         if self._timed:
@@ -265,9 +273,15 @@ class Explorer:
         if self.options.backward_revisits:
             if self._timed:
                 with self.obs.phase("revisit"):
-                    self._collect_revisits(placements, successors)
+                    repeated = self._collect_revisits(placements, successors)
             else:
-                self._collect_revisits(placements, successors)
+                repeated = self._collect_revisits(placements, successors)
+            if repeated and not successors:
+                # every continuation is a revisit state explored
+                # elsewhere: a dropped repeat, not a dead end, or the
+                # blocked count would depend on which occurrence of
+                # the state the search meets first
+                return None
         return successors
 
     def _co_placements(
@@ -285,13 +299,16 @@ class Explorer:
             )
         return placements
 
-    def _collect_revisits(self, placements, successors) -> None:
+    def _collect_revisits(self, placements, successors) -> bool:
+        """Append the write's new revisit states to ``successors``;
+        returns whether a revisit was dropped as a repeat."""
         # Revisits are generated from *every* placement, including
         # ones inconsistent in the full graph: a revisit deletes
         # events, and the restricted graph can be consistent even
         # when the full one is not (e.g. a second RMW that cannot
         # be placed atomically until the conflicting RMW is
         # deleted).  The restricted graph is checked on its own.
+        repeated = False
         for revisited in backward_revisits(
             [extended for extended, _, _ in placements],
             placements[0][1],
@@ -306,9 +323,15 @@ class Explorer:
                 tuple((e.tid, e.index) for e in revisited.events_by_stamp()),
             )
             if key in self._revisit_seen:
+                repeated = True
                 continue
             self._revisit_seen.add(key)
+            if self._claim is not None and not self._claim(key):
+                # another task of the sharded run explores it
+                repeated = True
+                continue
             successors.append(revisited)
+        return repeated
 
     def _consistent_step(self, graph: ExecutionGraph) -> bool:
         if not self.options.incremental_checks:
@@ -476,12 +499,11 @@ def verify(
 
     With ``jobs=N`` (N > 1, or 0 for one worker per CPU) the search is
     sharded over a process pool (see :mod:`repro.core.parallel`);
-    exhaustive parallel runs report the same ``executions``/``blocked``
-    /``outcomes`` as serial ones.  A search that is not
-    :func:`~repro.core.parallel.shardable` — one bounded by
-    ``max_executions`` or ``max_explored``, or with deduplication off —
-    runs serially whatever ``jobs`` is, so a bounded run always returns
-    the serial DFS-order prefix.
+    exhaustive parallel runs report every count of the serial run.  A
+    search that is not :func:`~repro.core.parallel.shardable` — one
+    bounded by ``max_executions`` or ``max_explored``, or with
+    deduplication off — runs serially whatever ``jobs`` is, so a
+    bounded run always returns the serial DFS-order prefix.
     """
     options = resolve_options(options, option_overrides)
     # imported here: repro.core.parallel builds on this module

@@ -21,9 +21,12 @@ The engine has three phases:
 2. **Dispatch** — each prefix becomes a pickled :data:`Task`
    ``(program, model, options, prefix graph, telemetry context)`` run
    by :func:`run_task`; workers resume the DFS from the prefix
-   (``Explorer(root=...)``) with per-worker dedup and
-   revisit-memoisation state, under a child observer built from the
-   coordinator's :class:`~repro.obs.TaskContext`.  Dispatch is
+   (``Explorer(root=...)``) under a child observer built from the
+   coordinator's :class:`~repro.obs.TaskContext`.  The run has one
+   revisit memo: a task *claims* each revisit state its own memo has
+   not seen from the coordinator's claim table, and drops a refused
+   one as a repeat, so the tasks explore each revisit state once, as
+   the serial search does.  Dispatch is
    supervised by :class:`PoolSupervisor`: each worker process owns
    one pipe, so the coordinator knows which task every worker holds.
    A worker that raises, is killed (SIGKILL), or hangs past
@@ -31,14 +34,17 @@ The engine has three phases:
    failure; the task is retried up to ``task_retries`` times, and a
    task that keeps failing is re-explored *serially in the
    coordinator* by the supervisor itself — the run still returns a
-   complete, deterministic result instead of raising or wedging.
-3. **Merge** — worker results are combined in deterministic task order
-   with :meth:`VerificationResult.merge`.  Executions are reconciled by
+   complete result instead of raising or wedging.
+3. **Merge** — worker results are combined in task order with
+   :meth:`VerificationResult.merge`.  Executions are reconciled by
    canonical key (a graph completed in two subtrees counts once, with
    the re-discovery reported as a duplicate), and each task's
    telemetry (counters, histograms, spans, trace records) is folded
    into the coordinator's observer with ``Observer.absorb`` as the
    task completes, so ``repro trace-summary`` still reconciles.
+   Which task explores a revisit state depends on scheduling, so the
+   merged errors are then sorted by witness, and collected execution
+   graphs by canonical key, into a fixed order.
 
 Only a search :func:`shardable` under its options is split.  A search
 bounded by ``max_executions``/``max_explored`` is defined by its
@@ -50,12 +56,18 @@ killing the workers running them) as soon as any worker reports an
 assertion failure.
 
 Determinism guarantee (see docs/PARALLEL.md): for shardable searches
-the merged ``executions``, ``outcomes`` and ``final_states`` are
-identical to the serial run's, because the subtree prefixes partition
-the serial DFS tree and completions are deduplicated by the same
+every count of the merged result — ``executions``, ``blocked``,
+``duplicates``, errors, ``outcomes``, ``final_states`` and every
+``Stats`` field — equals the serial run's, because the subtree
+prefixes partition the serial DFS tree, the shared memo explores each
+revisit state once, and completions are deduplicated by the same
 canonical key serial exploration uses.  Retries and serial fallback
-preserve this: subtree tasks are pure functions, so re-running one
-yields the identical sub-result.
+preserve this: claims are owned per task, not per attempt, so a
+re-run attempt regains every state the failed attempt was granted.
+A state the failed attempt never reached may meanwhile go to another
+task, which explores it in its place, so the sub-results can differ
+but their union cannot.  Without stop-on-error, the merged errors
+and collected graphs come in a fixed order as well.
 """
 
 from __future__ import annotations
@@ -67,6 +79,7 @@ import signal
 import time
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import partial
 
 from ..graphs import ExecutionGraph
 from ..graphs.incremental import configure_from_env
@@ -112,6 +125,13 @@ def _model_spec(model: MemoryModel) -> "str | MemoryModel":
 #: test-only fault injection hook (see ``_maybe_inject_fault``)
 FAULT_ENV = "REPRO_FAULT_INJECT"
 
+#: tags a worker's claim message, ``(CLAIM, key)``, apart from its
+#: ``(ok, value)`` reply
+CLAIM = "claim"
+
+#: the owner recorded for a revisit state the coordinator explores
+COORDINATOR = -1
+
 #: the supervisor's fault accounting, reported in ``result.meta``
 FAULT_COUNTERS = (
     "tasks_failed",
@@ -141,6 +161,7 @@ def split_frontier(
     options: ExplorationOptions,
     target: int,
     observer=NULL_OBSERVER,
+    revisit_states: set | None = None,
 ) -> tuple[list[ExecutionGraph], VerificationResult, bool]:
     """Expand the DFS root into ``>= target`` independent subtrees.
 
@@ -151,6 +172,9 @@ def split_frontier(
     frontier, the partial result accumulated while splitting (graphs
     that completed before the target was reached), and whether the
     search aborted during splitting (stop-on-error or a search limit).
+    The revisit states the split produced are added to
+    ``revisit_states`` when it is given: their subtrees are explored
+    through the frontier, so a sharded run's tasks must not claim them.
     """
     # Explorer.run() re-reads the incremental mode flags per run;
     # splitting drives _step directly, so it must do the same
@@ -179,6 +203,8 @@ def split_frontier(
     except _SearchLimit:
         coordinator.result.truncated = True
         aborted = True
+    if revisit_states is not None:
+        revisit_states.update(coordinator._revisit_seen)
     return list(frontier), coordinator.result, aborted
 
 
@@ -189,9 +215,17 @@ def _worker_loop(conn) -> None:
 
     Receives ``(fn, index, attempt, payload)`` requests on its end of
     the pipe, one at a time, and answers each with ``(True, fn(index,
-    attempt, payload))`` or ``(False, repr(error))``.  It exits when the
-    pipe closes; the supervisor normally kills it first.
+    attempt, payload, claim))`` or ``(False, repr(error))``.  Each call
+    of ``claim(key)`` sends a ``(CLAIM, key)`` message and waits for
+    the answer, so the worker holds at most one open claim.  It exits
+    when the pipe closes; the supervisor normally kills it first.
     """
+
+    def claim(key) -> bool:
+        # the coordinator knows which task this worker holds
+        conn.send((CLAIM, key))
+        return conn.recv()
+
     while True:
         try:
             fn, index, attempt, payload = conn.recv()
@@ -202,7 +236,7 @@ def _worker_loop(conn) -> None:
             # pickling happens before any byte is written, so a value
             # that cannot be sent still leaves the pipe clean for the
             # error reply
-            conn.send((True, fn(index, attempt, payload)))
+            conn.send((True, fn(index, attempt, payload, claim)))
         except Exception as exc:  # noqa: BLE001 - reported to the coordinator
             conn.send((False, repr(exc)))
 
@@ -243,7 +277,7 @@ def _maybe_inject_fault(index: int, attempt: int) -> None:
 
 
 def run_task(
-    index: int, attempt: int, task: Task
+    index: int, attempt: int, task: Task, claim=None
 ) -> tuple[VerificationResult, dict]:
     """Explore one task — a whole program or one subtree prefix.
 
@@ -251,7 +285,10 @@ def run_task(
     dispatched tasks, :meth:`PoolSupervisor.run` in-process for serial
     fallbacks, and ``run_suite`` for its inline jobs.  Returns
     ``(result, snapshot)``, where the snapshot is the child observer's,
-    for the coordinator's ``Observer.absorb``.
+    for the coordinator's ``Observer.absorb``.  A subtree task claims
+    the revisit states it meets through ``claim``, the supervisor's
+    claim function for this task; a whole-program task explores all of
+    its own.
     """
     program, model_spec, options, prefix, ctx = task
     observer = NULL_OBSERVER if ctx is None else ctx.observer(index, attempt)
@@ -264,7 +301,12 @@ def run_task(
             attempt=attempt,
         ):
             result = Explorer(
-                program, model_spec, options, observer=observer, root=prefix
+                program,
+                model_spec,
+                options,
+                observer=observer,
+                root=prefix,
+                claim=None if prefix is None else claim,
             ).run()
     finally:
         observer.close()
@@ -308,10 +350,10 @@ class PoolSupervisor:
 
     Work is described, not owned: :meth:`run` takes a picklable worker
     function and a list of plain payloads, and calls ``fn(index,
-    attempt, payload)`` once per attempt (the attempt names a worker's
-    trace file).  Completed values are handed to ``on_result(index,
-    value)``, which returns True to stop the rest (stop-on-error); the
-    supervisor stores no results itself.
+    attempt, payload, claim)`` once per attempt (the attempt names a
+    worker's trace file).  Completed values are handed to
+    ``on_result(index, value)``, which returns True to stop the rest
+    (stop-on-error); the supervisor stores no results itself.
 
     The supervisor starts up to ``processes`` workers itself, each
     with one duplex pipe, so it always knows which task each worker
@@ -357,6 +399,9 @@ class PoolSupervisor:
         self._payloads: list = []
         self._pending: deque[int] = deque()
         self._outstanding: set[int] = set()
+        #: the run's claim table: revisit state -> owning task index
+        #: (COORDINATOR for the states the caller explores itself)
+        self._claims: dict = {}
 
     # -- workers ----------------------------------------------------------
 
@@ -395,14 +440,18 @@ class PoolSupervisor:
         task_timeout: float | None = None,
         task_retries: int = 2,
         observer=NULL_OBSERVER,
+        claimed=(),
     ) -> None:
         """Take every payload to a result: on the workers, with
         retries, and in-process for a task whose retries are spent.
 
         ``fn`` is the picklable worker entry point, called as
-        ``fn(index, attempt, payloads[index])``; ``on_result(index,
-        value)`` consumes each completed value and returns True to
-        cancel the remaining tasks, which :attr:`cancelled` counts.
+        ``fn(index, attempt, payloads[index], claim)``;
+        ``on_result(index, value)`` consumes each completed value and
+        returns True to cancel the remaining tasks, which
+        :attr:`cancelled` counts.  ``claimed`` holds the revisit states
+        the caller explores itself: every task's claim of one is
+        refused.
         """
         self._fn = fn
         self._payloads = payloads
@@ -415,6 +464,7 @@ class PoolSupervisor:
         self.acct = dict.fromkeys(FAULT_COUNTERS, 0)
         self._pending = deque(range(len(payloads)))
         self._outstanding = set(self._pending)
+        self._claims = dict.fromkeys(claimed, COORDINATOR)
         try:
             self._supervise(on_result)
         finally:
@@ -422,6 +472,7 @@ class PoolSupervisor:
             # for every job): hold nothing of the caller's while idle
             self._fn = None
             self._payloads = []
+            self._claims = {}
             self.obs = NULL_OBSERVER
 
     def _supervise(self, on_result) -> None:
@@ -452,10 +503,24 @@ class PoolSupervisor:
             if self.obs.trace_enabled:
                 self.obs.emit("task_fallback", task=index)
             value = self._fn(
-                index, self.states[index].attempts, self._payloads[index]
+                index,
+                self.states[index].attempts,
+                self._payloads[index],
+                partial(self._claim, index),
             )
             self.stopped = bool(on_result(index, value))
         self.cancelled = len(self._outstanding) + len(unrun)
+
+    def _claim(self, index: int, key) -> bool:
+        """Whether task ``index`` explores revisit state ``key``: the
+        ``claim`` a worker asks over its pipe (see :meth:`_settle`) and
+        a task run in-process asks directly.
+
+        The first task to claim a key owns it, and its owner is granted
+        it again: ownership is per task, not per attempt, so a retried
+        attempt or the in-process fallback regains every claim of the
+        attempt it replaces."""
+        return self._claims.setdefault(key, index) == index
 
     def _dispatch(self) -> None:
         """Hand pending tasks to idle workers, starting workers (up to
@@ -515,8 +580,9 @@ class PoolSupervisor:
         ]
 
     def _settle(self, worker: _Worker, on_result) -> None:
-        """Take one ready worker's reply, or charge its task when the
-        worker died without one (possibly killed mid-send)."""
+        """Take one ready worker's reply or answer its claim, or charge
+        its task when the worker died without one (possibly killed
+        mid-send)."""
         index = worker.task
         try:
             reply = worker.conn.recv() if worker.conn.poll() else None
@@ -527,6 +593,14 @@ class PoolSupervisor:
             self.acct["workers_lost"] += 1
             self.acct["tasks_failed"] += 1
             self._charge(index, "task_failed", reason="worker_lost")
+            return
+        if reply[0] == CLAIM:
+            # answered at once; the worker stays on its task, under
+            # the same deadline
+            try:
+                worker.conn.send(self._claim(index, reply[1]))
+            except OSError:
+                pass  # died meanwhile: its sentinel charges the task
             return
         worker.task = None
         # the freed worker starts its next task while this result is
@@ -621,8 +695,16 @@ def verify_parallel(
     # workers (and the splitting coordinator) record per-execution
     # canonical keys so the merge can reconcile cross-worker duplicates
     split_options = replace(options, collect_keys=True, jobs=None)
+    # the run's one revisit memo starts as the split's: the frontier
+    # explores those states
+    split_states: set = set()
     frontier, merged, aborted = split_frontier(
-        program, model, split_options, target, observer=obs
+        program,
+        model,
+        split_options,
+        target,
+        observer=obs,
+        revisit_states=split_states,
     )
     if aborted:
         frontier = []
@@ -653,6 +735,7 @@ def verify_parallel(
             task_timeout=options.task_timeout,
             task_retries=options.task_retries,
             observer=obs,
+            claimed=split_states,
         )
     finally:
         supervisor.close()
@@ -668,6 +751,15 @@ def verify_parallel(
                 errors=len(sub.errors),
                 elapsed=round(sub.elapsed, 6),
             )
+    # which task explores a revisit state depends on scheduling, so the
+    # task-order merge leaves the witnesses and the collected graphs in
+    # a varying order; sort them into a fixed one
+    merged.errors.sort(key=lambda e: (e.witness, e.thread, e.message))
+    if merged.execution_graphs:
+        merged.execution_records.sort(key=lambda record: repr(record.key))
+        merged.execution_graphs = [
+            record.graph for record in merged.execution_records
+        ]
     merged.elapsed = time.perf_counter() - start
     merged.truncated = merged.truncated or supervisor.cancelled > 0
     merged.meta.update(

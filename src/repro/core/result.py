@@ -113,8 +113,10 @@ class VerificationResult:
     model: str
     #: distinct consistent complete executions
     executions: int = 0
-    #: complete-or-dead-end explorations blocked by a failed assume /
-    #: unsatisfiable RMW
+    #: explorations blocked by a failed assume, or dead ends: an event
+    #: with no consistent choice (e.g. an unsatisfiable RMW) and no
+    #: revisit.  An event whose only continuations repeat revisit
+    #: states explored elsewhere is not counted.
     blocked: int = 0
     #: complete graphs explored more than once (0 for porf-acyclic models)
     duplicates: int = 0

@@ -32,8 +32,10 @@ from ..core.report import to_dict
 #: misreading them).  2: a pooled task's counts are always those of a
 #: whole run; schema-1 entries may hold a sharded run's blocked and
 #: duplicate counts.  3: ``stats.consistency_checks`` leaves out the
-#: checks a revisit twin no longer runs (docs/ALGORITHM.md).
-CACHE_SCHEMA_VERSION = 3
+#: checks a revisit twin no longer runs (docs/ALGORITHM.md).  4:
+#: ``blocked`` leaves out a write whose only continuations are dropped
+#: revisit repeats.
+CACHE_SCHEMA_VERSION = 4
 
 #: the ``kind`` tag inside every entry file
 CACHE_ENTRY_KIND = "repro-suite-cache-entry"

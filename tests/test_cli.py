@@ -35,6 +35,25 @@ class TestBench:
     def test_unknown_family(self, capsys):
         assert main(["bench", "nope"]) == 2
 
+    def test_jobs_rows_keep_the_task_timeout(self, capsys, monkeypatch):
+        """Both rows of a ``--jobs`` comparison run under the
+        ``--task-timeout`` given; it was dropped, so they ran with
+        none."""
+        from repro.core import parallel
+
+        real = parallel.verify_parallel
+        timeouts = []
+
+        def spy(program, model, options=None, *args, **kwargs):
+            timeouts.append(options.task_timeout)
+            return real(program, model, options, *args, **kwargs)
+
+        monkeypatch.setattr(parallel, "verify_parallel", spy)
+        argv = ["bench", "sb", "--n", "3", "--model", "tso", "--jobs", "2"]
+        assert main(argv + ["--task-timeout", "7"]) == 0
+        assert "speedup=" in capsys.readouterr().out
+        assert timeouts == [7.0, 7.0]
+
 
 class TestVerify:
     def test_safe_program(self, capsys):

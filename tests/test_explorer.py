@@ -196,19 +196,19 @@ VISITING_ORDER_PINS = {
         (530, 270, 260, 828, 714, 4027, 161, 3591, 0, 0, 275, 1978),
     ),
     "ticket-lock(3)/sc": (
-        ticket_lock(3), "sc", {}, (6, 62, 6, 0),
+        ticket_lock(3), "sc", {}, (6, 53, 6, 0),
         (245, 107, 138, 248, 315, 753, 69, 616, 21, 0, 47, 647),
     ),
     "barrier(3)/ra": (
-        barrier(3), "ra", {}, (6, 121, 14, 0),
+        barrier(3), "ra", {}, (6, 113, 14, 0),
         (551, 464, 87, 1209, 230, 945, 122, 504, 45, 0, 274, 1781),
     ),
     "ainc(4)/imm": (
-        ainc(4), "imm", {}, (120, 77, 85, 0),
+        ainc(4), "imm", {}, (120, 0, 85, 0),
         (307, 89, 218, 355, 742, 2816, 368, 1889, 0, 0, 559, 1713),
     ),
     "ticket-lock(3)/imm": (
-        ticket_lock(3), "imm", {"stop_on_error": False}, (36, 106, 36, 96),
+        ticket_lock(3), "imm", {"stop_on_error": False}, (36, 97, 36, 96),
         (471, 208, 263, 604, 671, 1767, 79, 1526, 105, 0, 57, 1379),
     ),
     "lastzero(3)/armv8": (

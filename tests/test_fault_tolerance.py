@@ -364,7 +364,7 @@ class TestWorkerFaults:
         assert result.meta["tasks_retried"] == 1
 
 
-def _work(index, attempt, steps):
+def _work(index, attempt, steps, claim):
     """A supervised test task: the step for this attempt (the last step
     repeats) sleeps, then returns ``value`` — or crashes, raises, or
     returns ``value`` zero bytes."""
@@ -379,15 +379,30 @@ def _work(index, attempt, steps):
     return value
 
 
+def _claiming(index, attempt, steps, claim):
+    """A supervised test task that claims revisit states: the step for
+    this attempt (the last step repeats) claims its keys in order, then
+    returns the answers — or crashes or raises."""
+    keys, action = steps[min(attempt, len(steps) - 1)]
+    granted = [claim(key) for key in keys]
+    if action == "crash":
+        os.kill(os.getpid(), signal.SIGKILL)
+    if action == "raise":
+        raise RuntimeError("injected")
+    return granted
+
+
 def _live_children() -> set:
     return {p.pid for p in multiprocessing.active_children()}
 
 
-def _run_bounded(supervisor, payloads, stop=lambda index: False, **settings):
-    """``supervisor.run`` on a thread, joined with a timeout; returns
-    the values it delivered and the seconds it took.  ``stop(index)``
-    is ``on_result``'s verdict; ``settings`` are the run's keyword
-    arguments."""
+def _run_bounded(
+    supervisor, payloads, stop=lambda index: False, fn=_work, **settings
+):
+    """``supervisor.run`` of ``fn`` on a thread, joined with a timeout;
+    returns the values it delivered and the seconds it took.
+    ``stop(index)`` is ``on_result``'s verdict; ``settings`` are the
+    run's keyword arguments."""
     results = {}
 
     def on_result(index, value):
@@ -396,7 +411,7 @@ def _run_bounded(supervisor, payloads, stop=lambda index: False, **settings):
 
     thread = threading.Thread(
         target=supervisor.run,
-        args=(_work, payloads, on_result),
+        args=(fn, payloads, on_result),
         kwargs=settings,
         daemon=True,
     )
@@ -534,6 +549,56 @@ class TestSupervisor:
         assert supervisor.stopped and supervisor.cancelled == 1
         assert _live_children() <= before
 
+    @pytest.mark.parametrize("fault", ["raise", "crash"])
+    def test_a_retried_attempt_regains_its_claims(self, fault):
+        """Claims are owned per task, not per attempt: task 0 claims a
+        key and fails, task 1 (run in between on the one worker) is
+        refused it, and task 0's retry is granted it again."""
+        payloads = [
+            [(["k"], fault), (["k"], "ok")],
+            [(["k"], "ok")],
+        ]
+        supervisor = PoolSupervisor(multiprocessing.get_context(), 1)
+        try:
+            results, _ = _run_bounded(supervisor, payloads, fn=_claiming)
+        finally:
+            supervisor.close()
+        assert results == {0: [True], 1: [False]}
+        assert [s.attempts for s in supervisor.states] == [2, 1]
+
+    def test_the_fallback_regains_its_claims(self):
+        """A task whose retries are spent is run in-process and is
+        granted the keys its failed attempts claimed."""
+        payloads = [
+            [(["k", "j"], "raise")] * 3 + [(["k", "j"], "ok")],
+            [(["j", "i"], "ok")],
+        ]
+        supervisor = PoolSupervisor(multiprocessing.get_context(), 1)
+        try:
+            results, _ = _run_bounded(supervisor, payloads, fn=_claiming)
+        finally:
+            supervisor.close()
+        assert supervisor.fallback == [0]
+        assert results == {0: [True, True], 1: [False, True]}
+
+    def test_the_coordinators_states_are_refused_to_every_task(self):
+        """A key seeded as the coordinator's (a revisit state of the
+        split) is refused to every task, in a worker and in-process;
+        other keys are still granted."""
+        payloads = [
+            [(["split"], "raise")] * 3 + [(["split", "k"], "ok")],
+            [(["split", "j"], "ok")],
+        ]
+        supervisor = PoolSupervisor(multiprocessing.get_context(), 1)
+        try:
+            results, _ = _run_bounded(
+                supervisor, payloads, fn=_claiming, claimed={"split"}
+            )
+        finally:
+            supervisor.close()
+        assert supervisor.fallback == [0]
+        assert results == {0: [False, True], 1: [False, True]}
+
     def test_persistent_supervisor_serves_the_next_run_after_a_stop(self):
         before = _live_children()
         supervisor = PoolSupervisor(multiprocessing.get_context(), 2)
@@ -611,6 +676,22 @@ class TestIdleSupervisorHoldsNoRun:
             assert suite.acct == supervisor.acct
             assert supervisor.cancelled == 0
             assert [s.attempts for s in supervisor.states] == [1, 1]
+        finally:
+            supervisor.close()
+
+    def test_claim_table_is_released(self):
+        """A sharded run's claim table, seeded and grown by claims,
+        lives for one run."""
+        supervisor = PoolSupervisor(multiprocessing.get_context(), 1)
+        try:
+            results, _ = _run_bounded(
+                supervisor,
+                [[(["k"], "ok")]],
+                fn=_claiming,
+                claimed={"split"},
+            )
+            assert results == {0: [True]}
+            assert supervisor._claims == {}
         finally:
             supervisor.close()
 

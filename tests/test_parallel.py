@@ -17,11 +17,13 @@ from repro.core import (
     verify,
     verify_parallel,
 )
-from repro.bench.workloads import FAMILIES, ainc, fib_bench
+from repro.bench.workloads import FAMILIES, ainc, fib_bench, lastzero
 from repro.core.result import ExecutionRecord, Stats
+from repro.graphs import canonical_key
 from repro.lang import ProgramBuilder
 from repro.litmus import MODELS, all_litmus_tests
 from repro.obs import NULL_OBSERVER
+from repro.util.randprog import RandomProgramGenerator
 
 
 def sb():
@@ -47,6 +49,17 @@ def racy():
     p = ProgramBuilder("racy-assert")
     t1 = p.thread(); t1.store("x", 1)
     t2 = p.thread(); r = t2.load("x"); t2.assert_(r.eq(0), "saw the store")
+    return p.build()
+
+
+def ainc_checked(n):
+    """ainc(n) whose checker asserts that no increment was lost: the
+    RMW-heavy shard case, with witnesses."""
+    p = ProgramBuilder(f"ainc-checked({n})")
+    for _ in range(n):
+        p.thread().fai("c", 1)
+    checker = p.thread()
+    checker.assert_(checker.load("c").eq(n), "lost increment")
     return p.build()
 
 
@@ -259,8 +272,36 @@ class TestParallelEquivalence:
         assert on.executions == 24
 
     def test_jobs_equivalent_on_workload(self):
-        program = sb_n(3)
-        for model in ("sc", "tso", "imm"):
+        """``jobs=2`` reports every count of the serial run: the shard
+        tasks claim each revisit state from one memo, so together they
+        explore the serial run's set of states.  With one memo per
+        task, ainc(3)/imm read 40 duplicates against serial's 16."""
+
+        def counts(result):
+            return (
+                result.executions,
+                result.blocked,
+                result.duplicates,
+                len(result.errors),
+                result.outcomes,
+                result.final_states,
+                result.stats.as_dict(),
+            )
+
+        cells = [(sb_n(3), model) for model in ("sc", "tso", "imm")]
+        cells += [
+            (ainc(3), "imm"), (lastzero(3), "imm"), (fib_bench(2), "tso")
+        ]
+        cells += [
+            (program, model)
+            for seed in (5, 17, 29)
+            for program in RandomProgramGenerator(
+                seed=seed, max_threads=3, max_stmts=4
+            ).programs(10)
+            for model in MODELS
+        ]
+        dispatched = 0
+        for program, model in cells:
             serial = serial_result(program, model)
             parallel = verify_parallel(
                 program,
@@ -268,9 +309,32 @@ class TestParallelEquivalence:
                 ExplorationOptions(stop_on_error=False),
                 jobs=2,
             )
-            assert parallel.executions == serial.executions, model
-            assert parallel.blocked == serial.blocked, model
-            assert parallel.outcomes == serial.outcomes, model
+            label = f"{program.name}/{model}"
+            assert counts(parallel) == counts(serial), label
+            dispatched += parallel.meta["tasks"] > 0
+        # most small random programs finish during the split; the rest
+        # and the named programs really run subtree tasks
+        assert dispatched >= 100, dispatched
+
+    def test_witnesses_and_graphs_in_fixed_order(self):
+        """Which task explores a revisit state depends on scheduling,
+        so a sharded run sorts its witnesses and collected graphs: they
+        are the serial run's, sorted, whichever task found them."""
+        program = ainc_checked(3)
+        serial = serial_result(program, "imm", collect_executions=True)
+        parallel = verify_parallel(
+            program,
+            "imm",
+            ExplorationOptions(stop_on_error=False, collect_executions=True),
+            jobs=2,
+        )
+        assert parallel.meta["tasks"] > 0
+        witnesses = [error.witness for error in serial.errors]
+        assert len(witnesses) > 1 and witnesses != sorted(witnesses)
+        assert [error.witness for error in parallel.errors] == sorted(witnesses)
+        assert [repr(canonical_key(g)) for g in parallel.execution_graphs] == (
+            sorted(repr(canonical_key(g)) for g in serial.execution_graphs)
+        )
 
     def test_stop_on_error_still_reports(self):
         result = verify_parallel(

@@ -276,7 +276,7 @@ class PerPlacementCheck(Explorer):
         ref_stats.consistency_checks = stats.consistency_checks
         assert stats == ref_stats
         self.saved_checks += saved
-        super()._collect_revisits(placements, successors)
+        return super()._collect_revisits(placements, successors)
 
 
 CAT_DIR = Path(repro.models.__file__).parent / "cat"
@@ -329,3 +329,10 @@ class TestOneCallPerWrite:
         result = explorer.run()
         assert result.executions > 0
         assert explorer.saved_checks > 0
+        # the wrapper only checks: it explores as the explorer does
+        plain = Explorer(program, model, options).run()
+        assert (result.executions, result.blocked, result.duplicates) == (
+            plain.executions,
+            plain.blocked,
+            plain.duplicates,
+        )
